@@ -298,10 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     shards.add_argument(
         "--codec",
         choices=("json", "binary"),
-        default="json",
+        default=None,
         help=(
-            "clock-plane bulk encoding in process mode: json float "
-            "lists or raw binary array frames"
+            "clock-plane bulk encoding in process mode: raw binary "
+            "array frames (the default) or json float lists"
         ),
     )
     shards.add_argument(

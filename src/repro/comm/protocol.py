@@ -11,12 +11,20 @@ grounded in a real serializer rather than a constant:
 
 Values are round-tripped to within the 0.1 W quantum; out-of-range values
 are rejected rather than silently wrapped.
+
+:func:`encode` / :func:`decode` are the specification, one message at a
+time.  :func:`encode_batch` / :func:`decode_batch` pack and unpack a whole
+node's messages (units ``0..n-1``) with NumPy; they produce the same bytes,
+the same values and reject the same inputs, and the scalar pair is their
+test oracle.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "MSG_READING",
@@ -25,6 +33,8 @@ __all__ = [
     "Message",
     "encode",
     "decode",
+    "encode_batch",
+    "decode_batch",
     "quantize_w",
 ]
 
@@ -112,3 +122,67 @@ def decode(payload: bytes) -> Message:
     if kind not in (MSG_READING, MSG_CAP):
         raise ValueError(f"corrupt message kind {kind}")
     return Message(kind=kind, unit=unit, value_w=value)
+
+
+def encode_batch(kind: int, values_w: np.ndarray) -> bytes:
+    """Pack one message per value, for units ``0..len(values_w)-1``.
+
+    Byte-identical to ``b"".join(encode(kind, i, v) for i, v in
+    enumerate(values_w))``.
+
+    Raises:
+        ValueError: unknown kind, more units than the 10-bit field
+            addresses, or any value NaN, infinite or outside
+            ``[0, 409.5]`` W.
+    """
+    if kind not in (MSG_READING, MSG_CAP):
+        raise ValueError(f"unknown message kind {kind}")
+    values = np.asarray(values_w, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError(f"values_w must be 1-D, got shape {values.shape}")
+    n = values.size
+    if n > _MAX_UNIT + 1:
+        raise ValueError(f"unit must be in [0, {_MAX_UNIT}], got {n - 1}")
+    # NaN fails both comparisons, so it lands in `bad` with the rest.
+    bad = ~((values >= 0.0) & (values <= _MAX_VALUE_W))
+    if bad.any():
+        value = float(values[np.argmax(bad)])
+        raise ValueError(
+            f"value_w must be in [0, {_MAX_VALUE_W}], got {value}"
+        )
+    quantized = np.floor(values * 10.0 + 0.5).astype(np.uint32)
+    words = (
+        (kind << 22) | (np.arange(n, dtype=np.uint32) << 12) | quantized
+    )
+    # Big-endian u32 words minus their (always zero) top byte.
+    return words.astype(">u4").view(np.uint8).reshape(n, 4)[:, 1:].tobytes()
+
+
+def decode_batch(payload: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unpack concatenated 3-byte messages into ``(kinds, units, values_w)``.
+
+    Element-wise equal to :func:`decode` of each message; values are
+    float64 in 0.1 W steps.
+
+    Raises:
+        ValueError: a length that is not a whole number of messages, or
+            a corrupt kind in any message.
+    """
+    if len(payload) % MESSAGE_SIZE_BYTES:
+        raise ValueError(
+            f"expected a multiple of {MESSAGE_SIZE_BYTES} bytes, got "
+            f"{len(payload)}"
+        )
+    raw = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
+    words = (
+        (raw[:, 0].astype(np.int64) << 16)
+        | (raw[:, 1].astype(np.int64) << 8)
+        | raw[:, 2]
+    )
+    kinds = words >> 22
+    corrupt = kinds > MSG_CAP
+    if corrupt.any():
+        raise ValueError(
+            f"corrupt message kind {int(kinds[np.argmax(corrupt)])}"
+        )
+    return kinds, (words >> 12) & 0x3FF, (words & 0xFFF) / 10.0

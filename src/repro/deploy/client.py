@@ -15,8 +15,15 @@ import socket
 import threading
 import time
 
+import numpy as np
+
 from repro.cluster.node import Node
-from repro.comm.protocol import MSG_CAP, MSG_READING, decode, encode
+from repro.comm.protocol import (
+    MSG_CAP,
+    MSG_READING,
+    decode_batch,
+    encode_batch,
+)
 from repro.deploy import framing
 
 __all__ = ["DeployClient"]
@@ -86,25 +93,53 @@ class DeployClient:
                     raise ValueError(f"unexpected frame tag {tag!r}")
                 if self.poll_delay_s > 0:
                     time.sleep(self.poll_delay_s)
-                batch = []
-                for local, unit in enumerate(self.node.sockets):
-                    power = unit.meter.read_power_w(self.dt_s)
-                    batch.append(
-                        encode(MSG_READING, local, min(power, 409.5))
-                    )
-                framing.send_batch(sock, framing.FRAME_READINGS, batch)
-                caps = framing.recv_batch(sock, framing.FRAME_CAPS)
-                for payload in caps:
-                    msg = decode(payload)
-                    if msg.kind != MSG_CAP:
-                        raise ValueError(f"expected cap, got {msg}")
-                    self.node.sockets[msg.unit].domain.set_cap_w(msg.value_w)
+                powers = [
+                    unit.meter.read_power_w(self.dt_s)
+                    for unit in self.node.sockets
+                ]
+                framing.send_batch(
+                    sock,
+                    framing.FRAME_READINGS,
+                    encode_batch(MSG_READING, np.minimum(powers, 409.5)),
+                )
+                self._apply_caps(framing.recv_batch(sock, framing.FRAME_CAPS))
                 self.cycles_served += 1
         except ConnectionError:
             pass  # Server went away; a daemon exits quietly.
         finally:
             sock.close()
             self._sock = None
+
+    def _apply_caps(self, payload: bytes) -> None:
+        """Validate one CAPS batch and program every socket it names.
+
+        The batch must name each of the node's sockets exactly once — the
+        server records every cap it sends as dispatched, so a missing or
+        repeated unit would leave a socket on a cap the server believes
+        it replaced.  Nothing is programmed unless the batch validates.
+
+        Raises:
+            ValueError: a non-cap message, a wrong count, or a unit that
+                is out of range, repeated or missing.
+        """
+        kinds, units, values = decode_batch(payload)
+        n = len(self.node.sockets)
+        not_cap = kinds != MSG_CAP
+        if not_cap.any():
+            raise ValueError(
+                f"expected cap, got kind {int(kinds[np.argmax(not_cap)])}"
+            )
+        if units.size != n:
+            raise ValueError(f"server sent {units.size} caps for {n} units")
+        if (units >= n).any():
+            raise ValueError(
+                f"cap for unit {int(units.max())} out of range [0, {n})"
+            )
+        if (np.bincount(units, minlength=n) != 1).any():
+            raise ValueError("caps batch repeats or omits a unit")
+        sockets = self.node.sockets
+        for unit, value in zip(units.tolist(), values.tolist()):
+            sockets[unit].domain.set_cap_w(value)
 
     # ------------------------------------------------------------------
     # Threaded convenience API (used by the loopback harness and tests).

@@ -14,13 +14,17 @@ start with a one-byte type tag:
 * ``QUIT`` (server → client): ``b'Q'`` — clean shutdown.
 
 The 3-byte payload messages are exactly the §6.5 wire format; framing adds
-2 bytes per batch, amortized across a node's units.
+2 bytes per batch, amortized across a node's units.  Batches travel as
+packed bytes end to end: :func:`~repro.comm.protocol.encode_batch` builds
+a payload, :func:`~repro.comm.protocol.decode_batch` takes one apart.
 """
 
 from __future__ import annotations
 
 import socket
 from typing import NamedTuple
+
+from repro.comm.protocol import MESSAGE_SIZE_BYTES
 
 __all__ = [
     "FRAME_HELLO",
@@ -113,23 +117,22 @@ def recv_tag(sock: socket.socket) -> bytes:
     return recv_exact(sock, 1)
 
 
-def send_batch(
-    sock: socket.socket, tag: bytes, messages: list[bytes]
-) -> int:
-    """Send a READINGS/CAPS batch; returns payload bytes sent.
+def send_batch(sock: socket.socket, tag: bytes, payload: bytes) -> int:
+    """Send a READINGS/CAPS batch of packed 3-byte messages (e.g. one
+    :func:`~repro.comm.protocol.encode_batch`); returns payload bytes sent.
 
     Raises:
-        ValueError: wrong tag, empty/oversized batch, or non-3-byte
-            messages.
+        ValueError: wrong tag, a payload that is not whole 3-byte
+            messages, or an empty/oversized batch.
     """
     if tag not in _BATCH_TAGS:
         raise ValueError(f"not a batch tag: {tag!r}")
-    if not 1 <= len(messages) <= 0xFF:
-        raise ValueError(f"batch size must be in [1, 255], got {len(messages)}")
-    payload = b"".join(messages)
-    if len(payload) != 3 * len(messages):
+    count, rest = divmod(len(payload), MESSAGE_SIZE_BYTES)
+    if rest:
         raise ValueError("every batch message must be exactly 3 bytes")
-    sock.sendall(tag + len(messages).to_bytes(1, "big") + payload)
+    if not 1 <= count <= 0xFF:
+        raise ValueError(f"batch size must be in [1, 255], got {count}")
+    sock.sendall(tag + count.to_bytes(1, "big") + payload)
     return len(payload)
 
 
@@ -153,23 +156,23 @@ class BatchAssembler:
         self.expected_tag = expected_tag
         self._buffer = bytearray()
         self._count: int | None = None
-        self._batch: list[bytes] | None = None
+        self._payload: bytes | None = None
 
     @property
     def complete(self) -> bool:
         """True once the whole frame has been assembled."""
-        return self._batch is not None
+        return self._payload is not None
 
     @property
-    def batch(self) -> list[bytes]:
-        """The assembled 3-byte messages.
+    def payload(self) -> bytes:
+        """The assembled messages, packed ``count x 3`` bytes.
 
         Raises:
             RuntimeError: the frame is not complete yet.
         """
-        if self._batch is None:
+        if self._payload is None:
             raise RuntimeError("batch is not complete")
-        return self._batch
+        return self._payload
 
     def feed(self, data: bytes) -> bool:
         """Consume one fragment; returns True once the frame is complete.
@@ -179,7 +182,7 @@ class BatchAssembler:
                 frame (a client speaking out of turn) — the stream cannot
                 be trusted after either.
         """
-        if self._batch is not None and data:
+        if self._payload is not None and data:
             raise ValueError(
                 f"{len(data)} bytes beyond the end of the frame"
             )
@@ -205,13 +208,12 @@ class BatchAssembler:
                 f"{len(self._buffer) - body_end} bytes beyond the end of "
                 "the frame"
             )
-        payload = bytes(self._buffer[2:body_end])
-        self._batch = [payload[i : i + 3] for i in range(0, len(payload), 3)]
+        self._payload = bytes(self._buffer[2:body_end])
         return True
 
 
-def recv_batch(sock: socket.socket, expected_tag: bytes) -> list[bytes]:
-    """Receive a READINGS/CAPS batch of 3-byte messages.
+def recv_batch(sock: socket.socket, expected_tag: bytes) -> bytes:
+    """Receive a READINGS/CAPS batch; returns its packed 3-byte messages.
 
     Raises:
         ValueError: unexpected frame tag.
@@ -222,5 +224,4 @@ def recv_batch(sock: socket.socket, expected_tag: bytes) -> list[bytes]:
     if tag != expected_tag:
         raise ValueError(f"expected {expected_tag!r}, got {tag!r}")
     count = recv_exact(sock, 1)[0]
-    payload = recv_exact(sock, 3 * count)
-    return [payload[i : i + 3] for i in range(0, len(payload), 3)]
+    return recv_exact(sock, MESSAGE_SIZE_BYTES * count)

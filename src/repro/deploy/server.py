@@ -41,7 +41,6 @@ reproducible cycle-for-cycle regardless of which client answered first.
 
 from __future__ import annotations
 
-import math
 import select
 import selectors
 import socket
@@ -51,7 +50,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.comm.net import bind_listener
-from repro.comm.protocol import MSG_CAP, MSG_READING, decode, encode, quantize_w
+from repro.comm.protocol import (
+    MESSAGE_SIZE_BYTES,
+    MSG_CAP,
+    MSG_READING,
+    decode_batch,
+    encode_batch,
+)
 from repro.core.managers import PowerManager
 from repro.deploy import framing
 from repro.resilience.health import ClientHealth, HealthState, ResilienceConfig
@@ -617,7 +622,7 @@ class DeployServer:
 
     def _collect_readings(
         self, pending: dict[_ClientRecord, framing.BatchAssembler]
-    ) -> tuple[dict[int, list[bytes]], dict[int, str]]:
+    ) -> tuple[dict[int, bytes], dict[int, str]]:
         """Fan-in: collect READINGS batches under one per-cycle deadline.
 
         Every pending socket is watched by one selector; whatever bytes a
@@ -625,7 +630,7 @@ class DeployServer:
         has not completed a valid batch when the deadline expires is
         reported as errored — it delays nobody else.
         """
-        raw: dict[int, list[bytes]] = {}
+        raw: dict[int, bytes] = {}
         errors: dict[int, str] = {}
         if not pending:
             return raw, errors
@@ -664,7 +669,7 @@ class DeployServer:
                         if failure is not None:
                             errors[record.node_id] = failure
                         else:
-                            raw[record.node_id] = assembler.batch
+                            raw[record.node_id] = assembler.payload
             for node_id in outstanding:
                 errors[node_id] = (
                     "readings: no complete batch within the "
@@ -676,9 +681,9 @@ class DeployServer:
 
     def _poll_sequential(
         self, polled: list[_ClientRecord]
-    ) -> tuple[dict[int, list[bytes]], dict[int, str]]:
+    ) -> tuple[dict[int, bytes], dict[int, str]]:
         """The artifact's baseline: blocking request/response per client."""
-        raw: dict[int, list[bytes]] = {}
+        raw: dict[int, bytes] = {}
         errors: dict[int, str] = {}
         for record in polled:
             assert record.conn is not None
@@ -694,7 +699,7 @@ class DeployServer:
     def _ingest_readings(
         self,
         record: _ClientRecord,
-        batch: list[bytes],
+        payload: bytes,
         readings: np.ndarray,
     ) -> int:
         """Validate one READINGS batch and write it into ``readings``.
@@ -709,32 +714,31 @@ class DeployServer:
             RuntimeError / ValueError: protocol violation (handled by the
                 caller's quarantine path).
         """
-        if len(batch) != record.n_units:
+        count = len(payload) // MESSAGE_SIZE_BYTES
+        if count != record.n_units:
             raise RuntimeError(
-                f"client sent {len(batch)} readings for "
-                f"{record.n_units} units"
+                f"client sent {count} readings for {record.n_units} units"
             )
-        values = np.empty(record.n_units, dtype=np.float64)
-        seen = np.zeros(record.n_units, dtype=bool)
-        bytes_up = 0
-        for payload in batch:
-            msg = decode(payload)
-            if msg.kind != MSG_READING:
-                raise RuntimeError(f"expected reading, got {msg}")
-            if msg.unit >= record.n_units:
-                raise RuntimeError(
-                    f"reading for unit {msg.unit} out of range "
-                    f"[0, {record.n_units})"
-                )
-            if seen[msg.unit]:
-                raise RuntimeError(
-                    f"duplicate reading for unit {msg.unit}"
-                )
-            seen[msg.unit] = True
-            values[msg.unit] = msg.value_w
-            bytes_up += len(payload)
-        readings[record.base : record.base + record.n_units] = values
-        return bytes_up
+        kinds, units, values = decode_batch(payload)
+        not_reading = kinds != MSG_READING
+        if not_reading.any():
+            raise RuntimeError(
+                "expected reading, got kind "
+                f"{int(kinds[np.argmax(not_reading)])}"
+            )
+        out_of_range = units >= record.n_units
+        if out_of_range.any():
+            raise RuntimeError(
+                f"reading for unit {int(units[np.argmax(out_of_range)])} "
+                f"out of range [0, {record.n_units})"
+            )
+        repeated = np.bincount(units, minlength=record.n_units) > 1
+        if repeated.any():
+            raise RuntimeError(
+                f"duplicate reading for unit {int(np.argmax(repeated))}"
+            )
+        readings[record.base + units] = values
+        return len(payload)
 
     def _dispatch_caps(
         self, caps: np.ndarray, quarantined_now: list[int]
@@ -751,47 +755,49 @@ class DeployServer:
         Raises:
             RuntimeError: the manager emitted a NaN/inf cap.
         """
-        batches: list[tuple[_ClientRecord, list[bytes], np.ndarray]] = []
+        caps = np.asarray(caps, dtype=np.float64)
+        batches: list[tuple[_ClientRecord, bytes, np.ndarray]] = []
         caps_clamped = 0
         for record in self._clients:
             if record.health.quarantined:
                 continue
-            batch = []
-            wire = np.empty(record.n_units, dtype=np.float64)
-            for local in range(record.n_units):
-                unit = record.base + local
-                cap = float(caps[unit])
-                if not math.isfinite(cap):
-                    raise RuntimeError(
-                        f"manager emitted non-finite cap {cap!r} for "
-                        f"unit {unit}"
-                    )
-                clamped = min(max(cap, 0.0), PROTOCOL_MAX_W)
-                if clamped != cap:
-                    caps_clamped += 1
-                    self.events.emit(
-                        float(self._cycle),
-                        "cap_clamped",
-                        unit=unit,
-                        node_id=record.node_id,
-                        detail=f"{cap:.1f}->{clamped:.1f}",
-                    )
-                wire[local] = quantize_w(clamped)
-                batch.append(encode(MSG_CAP, local, clamped))
-            batches.append((record, batch, wire))
+            lo = record.base
+            node_caps = caps[lo : lo + record.n_units]
+            non_finite = ~np.isfinite(node_caps)
+            if non_finite.any():
+                local = int(np.argmax(non_finite))
+                raise RuntimeError(
+                    f"manager emitted non-finite cap "
+                    f"{float(node_caps[local])!r} for unit {lo + local}"
+                )
+            clamped = np.clip(node_caps, 0.0, PROTOCOL_MAX_W)
+            for local in np.flatnonzero(clamped != node_caps).tolist():
+                caps_clamped += 1
+                self.events.emit(
+                    float(self._cycle),
+                    "cap_clamped",
+                    unit=lo + local,
+                    node_id=record.node_id,
+                    detail=(
+                        f"{float(node_caps[local]):.1f}->"
+                        f"{float(clamped[local]):.1f}"
+                    ),
+                )
+            # The exact value the client will program: post-clamp,
+            # post-quantization (half-up, as protocol.quantize_w).
+            wire = np.floor(clamped * 10.0 + 0.5) / 10.0
+            batches.append((record, encode_batch(MSG_CAP, clamped), wire))
         bytes_down = 0
-        for record, batch, wire in batches:
+        for record, payload, wire in batches:
             try:
                 bytes_down += framing.send_batch(
-                    record.conn, framing.FRAME_CAPS, batch
+                    record.conn, framing.FRAME_CAPS, payload
                 )
             except OSError as exc:
                 self._quarantine(record, f"caps: {exc}")
                 quarantined_now.append(record.node_id)
             else:
                 if self.envelope is not None:
-                    # The dispatched view holds the exact wire value the
-                    # client will program: post-clamp, post-quantization.
                     self.envelope.record_dispatched(
                         slice(record.base, record.base + record.n_units),
                         wire,

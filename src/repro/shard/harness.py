@@ -366,7 +366,7 @@ def run_sharded(
     rng: np.random.Generator | None = None,
     mode: str = "thread",
     manager_name: str | None = None,
-    codec: str = "json",
+    codec: str | None = None,
     max_ack_events: int = 256,
 ) -> ShardedResult:
     """Run a sharded control-plane session over localhost TCP.
@@ -400,10 +400,11 @@ def run_sharded(
         manager_name: power-manager registry name, required in process
             mode (the subprocess rebuilds the manager from its name;
             ``manager_factory`` is not picklable across an exec).
-        codec: process-mode clock-plane bulk encoding — ``"json"``
-            (float lists, the historical wire) or ``"binary"`` (raw
-            array frames, :mod:`repro.comm.wire`).  Thread mode has no
-            wire and accepts only ``"json"``.
+        codec: process-mode clock-plane bulk encoding — ``"binary"``
+            (raw array frames, :mod:`repro.comm.wire`; the default) or
+            ``"json"`` (float lists, the reference encoding the binary
+            one is checked against).  Thread mode has no wire and
+            accepts only ``None`` or ``"json"``.
         max_ack_events: per-ack structured-event cap each shard server
             enforces (overflow collapses into ``events_truncated``).
 
@@ -419,6 +420,8 @@ def run_sharded(
         )
     if mode not in ("thread", "process"):
         raise ValueError(f"mode must be 'thread' or 'process', got {mode!r}")
+    if codec is None:
+        codec = "binary" if mode == "process" else "json"
     if codec not in ("json", "binary"):
         raise ValueError(f"codec must be 'json' or 'binary', got {codec!r}")
     if mode == "thread" and codec != "json":
@@ -723,7 +726,7 @@ def _run_sharded_process(
     recovery: RecoveryOptions,
     invariant_mode: str,
     timeout_s: float,
-    codec: str = "json",
+    codec: str = "binary",
     max_ack_events: int = 256,
 ) -> ShardedResult:
     """Process-mode session: shard-server subprocesses, real TCP links.

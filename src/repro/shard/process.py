@@ -178,7 +178,7 @@ class ShardHost:
         if args.resume:
             self._resume()
 
-        self.codec = str(getattr(args, "codec", "json"))
+        self.codec = str(getattr(args, "codec", "binary"))
         self.max_ack_events = int(getattr(args, "max_ack_events", 256))
         self._persist_every = max(1, int(args.checkpoint_every))
         self._persist_queue: queue.Queue = queue.Queue()
@@ -579,8 +579,11 @@ def add_shard_server_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--codec",
         choices=("json", "binary"),
-        default="json",
-        help="clock-plane bulk encoding for demand/power/cap vectors",
+        default="binary",
+        help=(
+            "clock-plane bulk encoding for demand/power/cap vectors "
+            "(default: binary)"
+        ),
     )
     parser.add_argument(
         "--max-ack-events",

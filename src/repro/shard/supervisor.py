@@ -66,9 +66,9 @@ class ProcessShardSpec:
         noise_std_w: RAPL measurement-noise sigma (0 for drills).
         period_cycles / lease_term_cycles: lease protocol knobs.
         checkpoint_every / keep_generations: recovery knobs.
-        codec: clock-plane bulk encoding — ``"json"`` ships demand/
-            power/cap vectors as JSON float lists, ``"binary"`` as raw
-            array frames (:mod:`repro.comm.wire`).
+        codec: clock-plane bulk encoding — ``"binary"`` (the default)
+            ships demand/power/cap vectors as raw array frames
+            (:mod:`repro.comm.wire`), ``"json"`` as JSON float lists.
         max_ack_events: per-ack structured-event cap forwarded to the
             shard server (overflow collapses into ``events_truncated``).
     """
@@ -89,7 +89,7 @@ class ProcessShardSpec:
     lease_term_cycles: int = 2
     checkpoint_every: int = 2
     keep_generations: int = 3
-    codec: str = "json"
+    codec: str = "binary"
     max_ack_events: int = 256
 
     @property

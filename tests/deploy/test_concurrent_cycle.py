@@ -45,9 +45,10 @@ def answer_poll(client, n_units=1, delay_s=0.0, value_w=100.0):
     framing.send_batch(
         client.sock,
         framing.FRAME_READINGS,
-        [encode(MSG_READING, u, value_w) for u in range(n_units)],
+        b"".join(encode(MSG_READING, u, value_w) for u in range(n_units)),
     )
-    return framing.recv_batch(client.sock, framing.FRAME_CAPS)
+    payload = framing.recv_batch(client.sock, framing.FRAME_CAPS)
+    return [payload[i : i + 3] for i in range(0, len(payload), 3)]
 
 
 class TestFanOut:
@@ -68,7 +69,7 @@ class TestFanOut:
                 framing.send_batch(
                     client.sock,
                     framing.FRAME_READINGS,
-                    [encode(MSG_READING, 0, 100.0)],
+                    encode(MSG_READING, 0, 100.0),
                 )
                 framing.recv_batch(client.sock, framing.FRAME_CAPS)
 
@@ -166,10 +167,10 @@ class TestReadingsIntegrity:
                 framing.send_batch(
                     client.sock,
                     framing.FRAME_READINGS,
-                    [
+                    b"".join([
                         encode(MSG_READING, 0, 100.0),
                         encode(MSG_READING, 0, 90.0),  # Unit 1 missing.
-                    ],
+                    ]),
                 )
 
             t = threading.Thread(target=duplicate)
@@ -199,10 +200,10 @@ class TestReadingsIntegrity:
                 framing.send_batch(
                     client.sock,
                     framing.FRAME_READINGS,
-                    [
+                    b"".join([
                         encode(MSG_READING, 1, 90.0),
                         encode(MSG_READING, 0, 100.0),
-                    ],
+                    ]),
                 )
                 framing.recv_batch(client.sock, framing.FRAME_CAPS)
 
@@ -296,7 +297,7 @@ class TestCapDispatch:
                 framing.send_batch(
                     clients[0].sock,
                     framing.FRAME_READINGS,
-                    [encode(MSG_READING, u, 90.0) for u in range(2)],
+                    b"".join(encode(MSG_READING, u, 90.0) for u in range(2)),
                 )
 
             t = threading.Thread(target=serve)

@@ -168,8 +168,7 @@ class TestHangAndGarbage:
             framing.send_batch(
                 client.sock,
                 framing.FRAME_READINGS,
-                [encode(MSG_READING, 0, 100.0),
-                 encode(MSG_READING, 1, 90.0)],
+                encode(MSG_READING, 0, 100.0) + encode(MSG_READING, 1, 90.0),
             )
             framing.recv_batch(client.sock, framing.FRAME_CAPS)
             t.join(3.0)

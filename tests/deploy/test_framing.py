@@ -44,31 +44,31 @@ class TestHello:
 class TestBatch:
     def test_round_trip(self, pair):
         a, b = pair
-        messages = [b"\x00\x01\x02", b"\x03\x04\x05"]
-        sent = framing.send_batch(a, framing.FRAME_READINGS, messages)
+        payload = b"\x00\x01\x02\x03\x04\x05"
+        sent = framing.send_batch(a, framing.FRAME_READINGS, payload)
         assert sent == 6
-        assert framing.recv_batch(b, framing.FRAME_READINGS) == messages
+        assert framing.recv_batch(b, framing.FRAME_READINGS) == payload
 
     def test_tag_mismatch(self, pair):
         a, b = pair
-        framing.send_batch(a, framing.FRAME_CAPS, [b"abc"])
+        framing.send_batch(a, framing.FRAME_CAPS, b"abc")
         with pytest.raises(ValueError, match="expected"):
             framing.recv_batch(b, framing.FRAME_READINGS)
 
     def test_rejects_bad_message_size(self, pair):
         a, _ = pair
         with pytest.raises(ValueError, match="3 bytes"):
-            framing.send_batch(a, framing.FRAME_CAPS, [b"toolong"])
+            framing.send_batch(a, framing.FRAME_CAPS, b"toolong")
 
     def test_rejects_empty_batch(self, pair):
         a, _ = pair
         with pytest.raises(ValueError, match="batch size"):
-            framing.send_batch(a, framing.FRAME_CAPS, [])
+            framing.send_batch(a, framing.FRAME_CAPS, b"")
 
     def test_rejects_non_batch_tag(self, pair):
         a, _ = pair
         with pytest.raises(ValueError, match="batch tag"):
-            framing.send_batch(a, framing.FRAME_POLL, [b"abc"])
+            framing.send_batch(a, framing.FRAME_POLL, b"abc")
 
 
 class TestControlTags:

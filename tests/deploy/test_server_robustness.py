@@ -91,7 +91,7 @@ class TestCycleViolations:
             framing.send_batch(
                 client.sock,
                 framing.FRAME_READINGS,
-                [encode(MSG_READING, 0, 100.0)],  # Only 1 of 2 units.
+                encode(MSG_READING, 0, 100.0),  # Only 1 of 2 units.
             )
             t.join(3.0)
             client.close()

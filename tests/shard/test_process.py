@@ -21,6 +21,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.core.config import ClusterSpec, RaplConfig
 from repro.core.constant import ConstantManager
+from repro.core.managers import create_manager
 from repro.deploy.loopback import RecoveryOptions
 from repro.shard import ArbiterConfig, ShardChaosSchedule, run_sharded
 from repro.telemetry.export import leases_to_csv
@@ -319,6 +320,62 @@ class TestCodecParity:
         # ratio at fleet scale.)
         assert ref.bytes_clock > 0
         assert bin_.bytes_clock > 0
+
+    def test_full_node_frames_bit_identical_across_modes_and_codecs(self, tmp_path):
+        """Thread, process/json and process/binary give one DPS trace.
+
+        Two shards of two 200-socket nodes each, so every node-agent
+        frame carries 200 messages of the packed 3-byte wire, under a
+        mixed idle/steady/bursty demand and no chaos.  The caps and
+        power histories must match bit for bit across all three, and
+        process mode with no ``codec`` must pick the binary wire.
+        """
+        spec = ClusterSpec(n_nodes=4, sockets_per_node=200)
+        rng = np.random.default_rng(5)
+        n_units = spec.n_nodes * spec.sockets_per_node
+        kind = rng.choice(3, size=n_units, p=[0.4, 0.35, 0.25])
+        level = spec.idle_power_w + rng.uniform(0.35, 0.95, n_units) * (
+            spec.tdp_w - spec.idle_power_w
+        )
+        period = rng.integers(4, 13, n_units)
+        base = np.where(kind == 0, spec.idle_power_w, level)
+
+        def demand(step):
+            off = (kind == 2) & ((step % period) >= period // 2)
+            return np.where(off, spec.idle_power_w, base)
+
+        runs = {}
+        for name, mode, codec in (
+            ("thread", "thread", None),
+            ("json", "process", "json"),
+            ("binary", "process", None),
+        ):
+            cluster = Cluster(
+                spec, RaplConfig(noise_std_w=0.0), np.random.default_rng(0)
+            )
+            root = tmp_path / name
+            runs[name] = run_sharded(
+                cluster,
+                n_shards=2,
+                manager_factory=lambda i: create_manager("dps"),
+                demand_fn=demand,
+                cycles=12,
+                checkpoint_dir=root / "ckpt",
+                config=ArbiterConfig(period_cycles=2),
+                recovery=RecoveryOptions(checkpoint_dir=root / "ckpt"),
+                rng=np.random.default_rng(0),
+                mode=mode,
+                manager_name="dps",
+                codec=codec,
+            )
+        assert runs["binary"].codec == "binary"
+        ref = runs["thread"]
+        assert ref.caps_history.shape == (12, n_units)
+        for name in ("json", "binary"):
+            result = runs[name]
+            assert result.invariant_violations == 0
+            assert np.array_equal(ref.caps_history, result.caps_history)
+            assert np.array_equal(ref.power_history, result.power_history)
 
     def test_ack_event_cap_truncates_with_marker(self, tmp_path):
         """An over-cap ack drops the tail and says so, once per ack."""
