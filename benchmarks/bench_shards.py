@@ -9,23 +9,19 @@ every shard carries the same load — doubling the cluster by doubling the
 shards roughly doubles the aggregate control work, with no superlinear
 coordination blow-up at the arbiter.
 
-This benchmark runs the real loopback harness (real ``DeployServer`` per
-shard, real TCP clients, real arbiter over wire-framed links) at each
-shard count in ``REPRO_BENCH_SHARD_COUNTS`` (default "1,2,4,8") with
+This benchmark runs the real sharded driver (one ``shard-server``
+subprocess per shard with its own ``DeployServer`` and TCP clients, a
+real arbiter over TCP shard links) at each shard count in
+``REPRO_BENCH_SHARD_COUNTS`` (default "1,2,4,8") with
 ``REPRO_BENCH_SHARD_UNITS`` units per shard (default 6400 — so the top
 configuration is 51,200 units across 8 shards).  Units are packed as
 many sockets per node so the TCP fan-out stays modest while the cap
 vectors carry full width.
 
-Two further rows compare the execution modes: a CI-small thread vs
-process comparison (``process_mode``) and the full-scale fleet row
-(``process_full_scale``), which reruns the top topology in thread mode
-and in process mode under both clock codecs — JSON float lists and the
-binary array frames of :mod:`repro.comm.wire` — recording per-codec
-wall time and wire bytes/cycle.  The binary-vs-JSON byte ratio is
-asserted unconditionally; the process-beats-thread wall-clock gate is
-opt-in via ``REPRO_BENCH_SHARD_ASSERT_FAST=1`` (the CI job sets it on
-runners with >= 4 cores, where the fleet actually has cores to win on).
+A further row (``process_full_scale``) reruns the top topology under
+both clock codecs — JSON float lists and the binary array frames of
+:mod:`repro.comm.wire` — recording per-codec wall time and wire
+bytes/cycle, and asserts the binary-vs-JSON byte ratio.
 
 Results are printed (run with ``-s``) and written to a
 ``BENCH_shards.json`` artifact (override via
@@ -56,40 +52,31 @@ UNITS_PER_SHARD = int(os.environ.get("REPRO_BENCH_SHARD_UNITS", "6400"))
 #: (a client frame addresses at most 255 units, so the default packs
 #: 6400/32 = 200 sockets per node).
 NODES_PER_SHARD = int(os.environ.get("REPRO_BENCH_SHARD_NODES", "32"))
-CYCLES = int(os.environ.get("REPRO_BENCH_SHARD_CYCLES", "6"))
+#: Cycles per session.  Rows report the median of the steady cycles;
+#: with a checkpoint every ``CYCLES // 2`` cycles, 12 keeps the slow
+#: checkpoint cycles a minority the median ignores.
+CYCLES = int(os.environ.get("REPRO_BENCH_SHARD_CYCLES", "12"))
 ARTIFACT = os.environ.get("REPRO_BENCH_SHARDS_ARTIFACT", "BENCH_shards.json")
 
-#: Scale of the thread-vs-process comparison row.  Process mode pays an
-#: interpreter spawn and a private sub-cluster per shard, so it is
-#: measured at a CI-friendly width (overhead is per-cycle protocol cost,
-#: not width-dependent compute).
-PROCESS_SHARDS = int(os.environ.get("REPRO_BENCH_SHARD_PROCESS_SHARDS", "8"))
-PROCESS_UNITS = int(os.environ.get("REPRO_BENCH_SHARD_PROCESS_UNITS", "128"))
-PROCESS_NODES = int(os.environ.get("REPRO_BENCH_SHARD_PROCESS_NODES", "4"))
+#: Sessions per shard count in the scaling rows, run round-robin so a
+#: slow spell on the host lands on every row alike; each row reports
+#: its median session.  One session per row left the spread gate at the
+#: mercy of a single slow session on a 2-core host.
+SCALING_ROUNDS = 3
 
-#: The full-scale process row runs 8 real shard-server subprocesses at
-#: the same 6400 units/shard the thread scaling rows use, so the
-#: thread-vs-process comparison is apples-to-apples at fleet scale.
-#: The per-cycle ack deadline is widened: on a saturated runner a
+#: Per-cycle ack deadline of every row: on a saturated runner a
 #: fleet-wide cycle can take seconds, and a spurious watchdog SIGKILL
 #: would turn a perf row into a chaos drill.
-FULL_HANG_TIMEOUT_S = float(
+HANG_TIMEOUT_S = float(
     os.environ.get("REPRO_BENCH_SHARD_FULL_TIMEOUT", "120")
 )
-#: Set to "1" (the CI job does, on runners with >= 4 cores) to turn the
-#: printed process-vs-thread and binary-vs-json comparisons into hard
-#: assertions.  On an oversubscribed single-core box the process fleet
-#: cannot be *guaranteed* to win wall-clock, so the gate is opt-in.
-ASSERT_FAST = os.environ.get("REPRO_BENCH_SHARD_ASSERT_FAST", "") == "1"
 
 
 def _measure(
     n_shards: int,
     units_per_shard: int = UNITS_PER_SHARD,
     nodes_per_shard: int = NODES_PER_SHARD,
-    mode: str = "thread",
-    codec: str = "json",
-    hang_timeout_s: float | None = None,
+    codec: str = "binary",
 ) -> dict:
     """One sharded session; median steady-state cycle wall time."""
     if units_per_shard % nodes_per_shard:
@@ -106,9 +93,6 @@ def _measure(
     )
     demand = np.full(cluster.n_units, 0.6)
     with tempfile.TemporaryDirectory(prefix="bench-shards-") as ckpt:
-        recovery = {"checkpoint_dir": ckpt, "checkpoint_every": max(2, CYCLES // 2)}
-        if hang_timeout_s is not None:
-            recovery["hang_timeout_s"] = hang_timeout_s
         result = run_sharded(
             cluster,
             n_shards=n_shards,
@@ -117,11 +101,14 @@ def _measure(
             cycles=CYCLES,
             checkpoint_dir=ckpt,
             config=ArbiterConfig(period_cycles=2),
-            recovery=RecoveryOptions(**recovery),
+            recovery=RecoveryOptions(
+                checkpoint_dir=ckpt,
+                checkpoint_every=max(2, CYCLES // 2),
+                hang_timeout_s=HANG_TIMEOUT_S,
+            ),
             rng=np.random.default_rng(7),
-            mode=mode,
-            manager_name="constant" if mode == "process" else None,
-            codec=codec if mode == "process" else "json",
+            manager_name="constant",
+            codec=codec,
         )
     assert result.invariant_violations == 0
     assert result.worst_case_w is not None
@@ -131,7 +118,6 @@ def _measure(
     steady = result.cycle_wall_s[1:]
     bytes_total = result.bytes_links + result.bytes_clock
     return {
-        "mode": mode,
         "codec": result.codec,
         "n_shards": n_shards,
         "n_units": cluster.n_units,
@@ -150,21 +136,33 @@ def _measure(
 
 
 def test_shard_cycle_scaling(benchmark):
-    results = benchmark.pedantic(
-        lambda: [_measure(n) for n in SHARD_COUNTS], rounds=1, iterations=1
+    rounds = benchmark.pedantic(
+        lambda: [
+            [_measure(n) for n in SHARD_COUNTS] for _ in range(SCALING_ROUNDS)
+        ],
+        rounds=1,
+        iterations=1,
     )
+    results = []
+    for i, n in enumerate(SHARD_COUNTS):
+        sessions = sorted((r[i] for r in rounds), key=lambda r: r["cycle_s"])
+        row = dict(sessions[len(sessions) // 2])
+        row["cycle_s_sessions"] = [r["cycle_s"] for r in sessions]
+        results.append(row)
 
     print(
         f"\nsharded cycle time ({UNITS_PER_SHARD} units/shard, median of "
-        f"{CYCLES - 1} steady cycles):"
+        f"{SCALING_ROUNDS} sessions x {CYCLES - 1} steady cycles):"
     )
     per_unit = {}
     for r in results:
         per_unit[r["n_shards"]] = r["cycle_s"] / r["n_units"]
+        sessions_ms = "/".join(f"{t * 1e3:.0f}" for t in r["cycle_s_sessions"])
         print(
             f"  shards={r['n_shards']:2d} units={r['n_units']:6d}: "
             f"{r['cycle_s'] * 1e3:8.1f} ms/cycle "
-            f"({r['cycle_s'] / r['n_units'] * 1e6:6.2f} us/unit)"
+            f"({r['cycle_s'] / r['n_units'] * 1e6:6.2f} us/unit; "
+            f"sessions {sessions_ms} ms)"
         )
 
     doc = {
@@ -172,6 +170,7 @@ def test_shard_cycle_scaling(benchmark):
         "units_per_shard": UNITS_PER_SHARD,
         "nodes_per_shard": NODES_PER_SHARD,
         "cycles": CYCLES,
+        "sessions": SCALING_ROUNDS,
         "results": results,
         "per_unit_cycle_s": {str(n): t for n, t in per_unit.items()},
     }
@@ -185,7 +184,7 @@ def test_shard_cycle_scaling(benchmark):
         # The acceptance bar: 8 shards carrying 50k+ units end to end.
         assert biggest["n_units"] >= 50_000, biggest["n_units"]
     # Near-linear scaling: normalized per-unit cycle time must not blow
-    # up as shards are added — the arbiter and the thread fan-out may
+    # up as shards are added — the arbiter and the process fan-out may
     # cost something, but nothing superlinear.
     if len(per_unit) >= 2:
         ratio = max(per_unit.values()) / min(per_unit.values())
@@ -208,119 +207,37 @@ def _merge_artifact(key: str, section: dict) -> None:
     print(f"wrote {ARTIFACT}")
 
 
-def test_process_mode_overhead(benchmark):
-    """Thread vs process mode at the same topology: the isolation tax.
-
-    Process mode swaps loopback links for real TCP and threads for
-    shard-server subprocesses; the steady-state per-cycle cost it adds
-    is wire framing plus a select round trip per shard.  Both clock
-    codecs are measured so the history tracks the JSON and the binary
-    bulk plane side by side.  This row stays CI-small; the fleet-scale
-    comparison lives in :func:`test_process_fleet_full_scale`.
-    """
-    rows = benchmark.pedantic(
-        lambda: [
-            _measure(PROCESS_SHARDS, PROCESS_UNITS, PROCESS_NODES, mode, codec)
-            for mode, codec in (
-                ("thread", "json"),
-                ("process", "json"),
-                ("process", "binary"),
-            )
-        ],
-        rounds=1,
-        iterations=1,
-    )
-
-    by_key = {(r["mode"], r["codec"]): r for r in rows}
-    print(
-        f"\nthread vs process ({PROCESS_SHARDS} shards x "
-        f"{PROCESS_UNITS} units):"
-    )
-    for (mode, codec), r in by_key.items():
-        print(
-            f"  {mode:8s}/{codec:6s}: {r['cycle_s'] * 1e3:8.1f} ms/cycle "
-            f"({r['bytes_clock_per_cycle'] + r['bytes_links_per_cycle']:9.0f}"
-            f" wire bytes/cycle)"
-        )
-    thread_s = by_key[("thread", "json")]["cycle_s"]
-    overhead = by_key[("process", "json")]["cycle_s"] / thread_s
-    overhead_bin = by_key[("process", "binary")]["cycle_s"] / thread_s
-    print(
-        f"process-mode overhead: {overhead:.2f}x (json), "
-        f"{overhead_bin:.2f}x (binary)"
-    )
-
-    _merge_artifact(
-        "process_mode",
-        {
-            "n_shards": PROCESS_SHARDS,
-            "units_per_shard": PROCESS_UNITS,
-            "nodes_per_shard": PROCESS_NODES,
-            "cycles": CYCLES,
-            "results": rows,
-            "overhead_x": overhead,
-            "overhead_x_binary": overhead_bin,
-        },
-    )
-
-
 def test_process_fleet_full_scale(benchmark):
-    """The process fleet at the thread rows' scale: 8 x 6400 units.
+    """The top topology under both clock codecs: 8 x 6400 units.
 
-    Three sessions over the same topology — thread, process over the
-    JSON clock plane, process over the binary plane — so the artifact
-    answers two questions at fleet scale: what does real process
-    isolation cost per cycle, and what does the binary bulk codec buy.
-    With pipelined cycles, checkpoint-cadence persistence, and binary
-    array frames the process fleet is expected to *beat* thread mode
-    wall-clock on a multicore runner (``overhead_x < 1.0``) while
-    moving several times fewer wire bytes per cycle; the CI job turns
-    those expectations into assertions via
-    ``REPRO_BENCH_SHARD_ASSERT_FAST=1`` on runners with >= 4 cores.
+    Two sessions over the same topology — the JSON clock plane and the
+    binary one — so the artifact records what the binary bulk codec
+    buys at fleet scale, in wall time and in wire bytes per cycle.
     """
     n_shards = max(SHARD_COUNTS)
     rows = benchmark.pedantic(
         lambda: [
-            _measure(
-                n_shards,
-                UNITS_PER_SHARD,
-                NODES_PER_SHARD,
-                mode,
-                codec,
-                hang_timeout_s=FULL_HANG_TIMEOUT_S,
-            )
-            for mode, codec in (
-                ("thread", "json"),
-                ("process", "json"),
-                ("process", "binary"),
-            )
+            _measure(n_shards, UNITS_PER_SHARD, NODES_PER_SHARD, codec)
+            for codec in ("json", "binary")
         ],
         rounds=1,
         iterations=1,
     )
 
-    by_key = {(r["mode"], r["codec"]): r for r in rows}
-    thread = by_key[("thread", "json")]
-    pjson = by_key[("process", "json")]
-    pbin = by_key[("process", "binary")]
+    by_codec = {r["codec"]: r for r in rows}
+    pjson, pbin = by_codec["json"], by_codec["binary"]
     print(
         f"\nfull-scale fleet ({n_shards} shards x {UNITS_PER_SHARD} units"
-        f" = {thread['n_units']} units):"
+        f" = {pjson['n_units']} units):"
     )
-    for (mode, codec), r in by_key.items():
+    for codec, r in by_codec.items():
         print(
-            f"  {mode:8s}/{codec:6s}: {r['cycle_s'] * 1e3:8.1f} ms/cycle "
+            f"  {codec:6s}: {r['cycle_s'] * 1e3:8.1f} ms/cycle "
             f"({r['bytes_clock_per_cycle'] + r['bytes_links_per_cycle']:9.0f}"
             f" wire bytes/cycle)"
         )
-    overhead = pjson["cycle_s"] / thread["cycle_s"]
-    overhead_bin = pbin["cycle_s"] / thread["cycle_s"]
     bytes_ratio = pjson["bytes_clock_per_cycle"] / pbin["bytes_clock_per_cycle"]
-    print(
-        f"process-vs-thread at full scale: {overhead:.2f}x (json), "
-        f"{overhead_bin:.2f}x (binary); binary moves {bytes_ratio:.1f}x "
-        f"fewer clock bytes/cycle"
-    )
+    print(f"binary moves {bytes_ratio:.1f}x fewer clock bytes/cycle")
 
     _merge_artifact(
         "process_full_scale",
@@ -330,20 +247,12 @@ def test_process_fleet_full_scale(benchmark):
             "nodes_per_shard": NODES_PER_SHARD,
             "cycles": CYCLES,
             "results": rows,
-            "overhead_x": overhead,
-            "overhead_x_binary": overhead_bin,
             "clock_bytes_ratio_json_over_binary": bytes_ratio,
         },
     )
 
-    # The codec win is topology-determined, not load-determined: assert
-    # it unconditionally.  The wall-clock win depends on spare cores.
+    # The codec win is topology-determined, not load-determined.
     assert bytes_ratio >= 5.0, (
         f"binary codec moves only {bytes_ratio:.1f}x fewer clock "
         f"bytes/cycle than JSON (expected >= 5x)"
     )
-    if ASSERT_FAST:
-        assert overhead_bin < 1.0, (
-            f"process fleet (binary codec) did not beat thread mode: "
-            f"{overhead_bin:.2f}x"
-        )

@@ -223,9 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
         "shards",
         help="run the sharded control plane over loopback TCP",
         description=(
-            "Run N shard servers (each a crash-recoverable deploy "
-            "server owning a slice of a simulated cluster) under one "
-            "budget arbiter, with optional shard-level chaos.  Every "
+            "Run N shard servers (each a `shard-server` subprocess: a "
+            "crash-recoverable deploy server owning a slice of a "
+            "simulated cluster) under one budget arbiter over TCP, "
+            "with optional shard-level chaos.  Every "
             "failure and recovery step is reported from the structured "
             "event log."
         ),
@@ -287,21 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the per-shard lease timeline (.json or .csv by suffix)",
     )
     shards.add_argument(
-        "--mode",
-        choices=("thread", "process"),
-        default="thread",
-        help=(
-            "thread: in-process shards over loopback links; process: "
-            "each shard a real `shard-server` subprocess behind TCP"
-        ),
-    )
-    shards.add_argument(
         "--codec",
         choices=("json", "binary"),
-        default=None,
+        default="binary",
         help=(
-            "clock-plane bulk encoding in process mode: raw binary "
-            "array frames (the default) or json float lists"
+            "clock-plane bulk encoding: raw binary array frames (the "
+            "default) or json float lists"
         ),
     )
     shards.add_argument(
@@ -309,14 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="CYCLE",
-        help="admit one extra shard live at CYCLE (process mode)",
+        help="admit one extra shard live at CYCLE",
     )
     shards.add_argument(
         "--drain",
         action="append",
         default=None,
         metavar="SHARD@CYCLE",
-        help="drain a shard gracefully (SIGTERM) at a cycle (process mode)",
+        help="drain a shard gracefully (SIGTERM) at a cycle",
     )
 
     shard_server = sub.add_parser(
@@ -328,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
             "listener serving the supervisor's clock and the arbiter's "
             "shard link.  SIGTERM triggers a graceful drain (checkpoint, "
             "freeze at the last confirmed committed power, final "
-            "summary, exit 0).  Normally spawned by `shards "
-            "--mode process`, not by hand."
+            "summary, exit 0).  Normally spawned by `shards`, not by "
+            "hand."
         ),
     )
     from repro.shard.process import add_shard_server_args
@@ -950,12 +942,8 @@ def _cmd_shards(args: argparse.Namespace) -> str:
             cycles=args.cycles,
             checkpoint_dir=root,
             chaos=chaos,
-            recovery=RecoveryOptions(
-                checkpoint_dir=root,
-                hang_timeout_s=1.0 if args.mode == "thread" else 5.0,
-            ),
+            recovery=RecoveryOptions(checkpoint_dir=root, hang_timeout_s=5.0),
             rng=rng,
-            mode=args.mode,
             manager_name=args.manager,
             codec=args.codec,
         )
@@ -966,8 +954,8 @@ def _cmd_shards(args: argparse.Namespace) -> str:
             tmp.cleanup()
 
     lines = [
-        f"sharded control plane ({result.mode} mode): {result.n_shards} "
-        f"shards, {cluster.n_units} units, budget {result.budget_w:.0f} W, "
+        f"sharded control plane: {result.n_shards} shards, "
+        f"{cluster.n_units} units, budget {result.budget_w:.0f} W, "
         f"{result.cycles} cycles"
     ]
     if result.admitted:
@@ -1015,13 +1003,12 @@ def _cmd_shards(args: argparse.Namespace) -> str:
         f"{result.invariant_sweeps} invariant sweeps, "
         f"{result.invariant_violations} violation(s)"
     )
-    if result.mode == "process":
-        lines.append(
-            f"wire ({result.codec} codec): "
-            f"{result.bytes_clock} clock bytes, "
-            f"{result.bytes_links} link bytes, "
-            f"{result.link_reconnects} link reconnect(s)"
-        )
+    lines.append(
+        f"wire ({result.codec} codec): "
+        f"{result.bytes_clock} clock bytes, "
+        f"{result.bytes_links} link bytes, "
+        f"{result.link_reconnects} link reconnect(s)"
+    )
     if result.worst_case_w is not None:
         ok = result.worst_case_w <= result.budget_w * (1 + 1e-6)
         lines.append(

@@ -1,37 +1,30 @@
-"""Loopback multi-shard harness with shard-level chaos.
+"""Sharded sessions: shard-server subprocesses under one budget arbiter.
 
 :func:`run_sharded` is the sharded analog of
-:func:`repro.deploy.loopback.run_loopback`: one process, N real
-:class:`~repro.deploy.server.DeployServer` instances (one per shard,
-each on its own kernel-chosen ephemeral port, each with its own
-:class:`~repro.deploy.client.DeployClient` threads over localhost TCP)
-under one :class:`~repro.shard.arbiter.BudgetArbiter`.
+:func:`repro.deploy.loopback.run_loopback`.  Each shard is a
+``dps-repro shard-server`` subprocess (:mod:`repro.shard.process`)
+owning its slice of the hardware as a private sub-cluster under a full
+:class:`~repro.shard.server.ShardServer` stack: a deploy server, its
+node-agent clients over localhost TCP, and a checkpoint directory.  A
+:class:`~repro.shard.supervisor.ShardSupervisor` spawns, signals and
+respawns the fleet.  The parent hosts only the lock-step clock and the
+:class:`~repro.shard.arbiter.BudgetArbiter`, which reaches every shard
+over a :class:`~repro.comm.shardlink.TcpShardLink`.
 
-Each shard runs on a worker thread under a *real*
-:class:`~repro.recovery.supervisor.Supervisor`; the harness thread is
-the lock-step clock: per control cycle it fires the chaos schedule,
-advances the cluster physics exactly once, broadcasts the cycle command
-to every shard, waits for every shard's acknowledgement, and then (on
-the arbiter period) runs the arbiter cycle.  Physics are frozen while
-control runs, so a session is reproducible cycle-for-cycle despite the
-thread-per-shard concurrency — shards own disjoint nodes, sockets, and
-checkpoint directories, and never touch shared state mid-cycle.
-
-Shard-level chaos covers the full failure matrix: shard *kill* (the
-controller process dies and is warm-restarted from its checkpoint),
-shard *hang* (detected by the supervisor's watchdog, then restarted),
-link *partition* (frames dropped both directions; the arbiter
-quarantines the shard, the shard freezes on its lease term), and
-arbiter *kill/restart* (shards run autonomously on their last leases
-and freeze when the terms expire; the restarted arbiter resumes from
-its checkpoint).  Every transition lands in the merged event log as a
-structured ``SHARD_EVENT_KINDS`` event — there is no silent failover.
+Shard-level chaos covers the full failure matrix with the operating
+system's own weapons: shard *kill* (SIGKILL, then a warm respawn from
+the checkpoint), shard *hang* (the host goes silent until the ack
+deadline SIGKILLs it), link *partition* (the socket is closed and
+redialing suppressed until the heal), arbiter *kill/restart* (shards run
+autonomously on their last leases and freeze when the terms expire; the
+restarted arbiter resumes from its checkpoint), and live membership — a
+shard *admitted* mid-session, another *drained* with SIGTERM.  Every
+transition lands in the merged event log as a structured
+``SHARD_EVENT_KINDS`` event — there is no silent failover.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,22 +35,11 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.comm.shardlink import TcpShardLink
 from repro.core.managers import PowerManager
-from repro.deploy.client import DeployClient
-from repro.deploy.loopback import RecoveryOptions, _await_cap_application
-from repro.recovery.checkpoint import CheckpointStore, CycleJournal
-from repro.recovery.controller import RecoverableController
-from repro.recovery.supervisor import (
-    ControllerCrash,
-    ControllerHang,
-    Heartbeat,
-    Supervisor,
-)
-from repro.resilience.health import ResilienceConfig
-from repro.safety import SafetyConfig
+from repro.deploy.loopback import RecoveryOptions
+from repro.recovery.checkpoint import CheckpointStore
 from repro.shard.arbiter import ArbiterShard, BudgetArbiter
-from repro.shard.lease import ArbiterConfig, ShardLink
+from repro.shard.lease import ArbiterConfig
 from repro.shard.process import event_from_doc
-from repro.shard.server import ShardServer
 from repro.shard.supervisor import (
     PendingCycle,
     ProcessShardSpec,
@@ -66,10 +48,6 @@ from repro.shard.supervisor import (
 from repro.telemetry.log import LeaseTimeline, ResilienceEventLog
 
 __all__ = ["ShardChaosSchedule", "ShardedResult", "run_sharded"]
-
-#: Seconds the harness waits for one shard acknowledgement before the
-#: session is declared wedged (a watchdog on the watchdogs).
-_ACK_TIMEOUT_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -89,11 +67,11 @@ class ShardChaosSchedule:
             the checkpoint store (required when ``arbiter_kill_at`` is
             set and the session continues past it).
         admit_at: cycle at which one extra shard joins the fleet live
-            (process mode only — a new shard-server is spawned and
-            admitted through the HELLO/ADMIT handshake).
+            (a new shard-server is spawned and admitted through the
+            HELLO/ADMIT handshake).
         drain_at: shard id → cycle at which that shard is drained
-            gracefully (process mode only — SIGTERM; the arbiter
-            reclaims the lease only after the final frozen summary).
+            gracefully (SIGTERM; the arbiter reclaims the lease only
+            after the final frozen summary).
     """
 
     shard_kill_at: Mapping[int, int] = field(default_factory=dict)
@@ -168,8 +146,10 @@ class ShardedResult:
             arbiter, and every shard's deploy/recovery stack.
         timeline: per-shard lease timeline across every arbiter cycle
             (survives arbiter restarts).
-        leases_w: final per-shard leases.
-        power_history: true per-unit power per cycle, ``(cycles, units)``.
+        leases_w: final per-shard leases (the last arbiter's, when the
+            arbiter is down at session end).
+        power_history: true per-unit power per cycle, ``(cycles, units)``
+            (NaN while a shard's process is down).
         caps_history: hardware-side per-unit caps per cycle.
         shard_restarts: supervised restarts per shard.
         failed_shards: shards whose restart budget was exhausted.
@@ -182,19 +162,17 @@ class ShardedResult:
         steady_w: global steady committed power at the last arbiter cycle.
         bytes_links: frame bytes over every shard link.
         checkpoint_dir: where shard and arbiter checkpoints live.
-        cycle_wall_s: wall seconds of each lock-step control cycle
-            (physics + every shard's cycle + any arbiter cycle).
-        mode: ``"thread"`` (in-process loopback links) or ``"process"``
-            (shard-server subprocesses behind real TCP links).
+        cycle_wall_s: wall seconds of each lock-step control cycle,
+            finalize to finalize (every shard's cycle + any arbiter
+            cycle).
         admitted: shard ids admitted live during the session.
         drained: shard ids drained gracefully during the session.
         drained_rcs: drained shard id → subprocess exit code (0 on a
             clean SIGTERM drain).
-        link_reconnects: TCP shard-link re-establishments (process mode).
+        link_reconnects: TCP shard-link re-establishments.
         bytes_clock: frame bytes over every clock connection, both
-            directions (process mode; 0 in thread mode where the clock
-            is a queue).
-        codec: clock-plane bulk encoding used (process mode).
+            directions.
+        codec: clock-plane bulk encoding used.
     """
 
     cycles: int
@@ -218,134 +196,12 @@ class ShardedResult:
     cycle_wall_s: np.ndarray = field(
         default_factory=lambda: np.zeros(0, dtype=np.float64)
     )
-    mode: str = "thread"
     admitted: tuple[int, ...] = ()
     drained: tuple[int, ...] = ()
     drained_rcs: dict[int, int | None] = field(default_factory=dict)
     link_reconnects: int = 0
     bytes_clock: int = 0
-    codec: str = "json"
-
-
-class _ShardWorker:
-    """One shard's thread: a supervised control loop in lock step."""
-
-    def __init__(
-        self,
-        shard: ShardServer,
-        nodes: list,
-        recovery: RecoveryOptions,
-        dt_s: float,
-        period_cycles: int,
-        timeout_s: float,
-    ) -> None:
-        self.shard = shard
-        self.nodes = nodes
-        self.recovery = recovery
-        self.dt_s = dt_s
-        self.period_cycles = period_cycles
-        self.timeout_s = timeout_s
-        self.commands: queue.Queue = queue.Queue()
-        self.supervisor = Supervisor(
-            max_restarts=recovery.max_restarts,
-            hang_timeout_s=recovery.hang_timeout_s,
-            events=ResilienceEventLog(),  # controller_* detail log
-        )
-        self.failed = False
-        #: Unexpected (non-chaos) exception that took the worker down.
-        self.error: Exception | None = None
-        self.thread = threading.Thread(
-            target=self._run, name=f"shard-{shard.shard_id}", daemon=True
-        )
-
-    def start(self, acks: queue.Queue) -> None:
-        self._acks = acks
-        self.thread.start()
-
-    def _ack(self, step: int, status: str) -> None:
-        self._acks.put((self.shard.shard_id, step, status))
-
-    def _run(self) -> None:
-        try:
-            self.supervisor.run(self._attempt)
-            return
-        except (ControllerCrash, ControllerHang):
-            pass  # Restart budget exhausted.
-        except Exception as exc:  # noqa: BLE001 - keep the clock answered
-            self.error = exc
-        self.failed = True
-        # Keep answering the clock so the session completes; the shard's
-        # hardware holds its last caps.
-        while True:
-            cmd = self.commands.get()
-            if cmd[0] == "stop":
-                return
-            self._ack(cmd[1], "failed")
-
-    def _attempt(self, index: int, heartbeat: Heartbeat) -> str:
-        shard = self.shard
-        if index > 0:
-            consumed = 0
-            while consumed < self.recovery.restart_delay_cycles:
-                cmd = self.commands.get()
-                if cmd[0] == "stop":
-                    return "stopped"
-                self._ack(cmd[1], "outage")
-                consumed += 1
-            if shard.controller.resume():
-                shard.resume_lease_state()
-            # Only this shard's meters re-anchor — the rest of the
-            # cluster never went down.
-            for node in self.nodes:
-                for sock in node.sockets:
-                    sock.meter.rebaseline()
-            shard.events.emit(
-                float(shard.controller.cycle),
-                "shard_restarted",
-                node_id=shard.shard_id,
-                detail=f"attempt {index} of {self.recovery.max_restarts + 1}",
-            )
-
-        server = shard.start(timeout_s=self.timeout_s)
-        clients: list[DeployClient] = []
-        clients_by_id: dict[int, DeployClient] = {}
-        try:
-            for node in self.nodes:
-                client = DeployClient(node, server.address, dt_s=self.dt_s)
-                client.start()
-                clients.append(client)
-                clients_by_id[node.node_id] = client
-            server.accept_clients(len(clients))
-
-            while True:
-                cmd = self.commands.get()
-                if cmd[0] == "stop":
-                    return "stopped"
-                _, step, directive = cmd
-                if directive == "kill":
-                    self._ack(step, "crashed")
-                    raise ControllerCrash(f"injected kill at cycle {step}")
-                if directive == "hang":
-                    self._ack(step, "hung")
-                    while not heartbeat.aborted:
-                        time.sleep(0.002)
-                    raise ControllerHang(f"hang detected at cycle {step}")
-                served_before = {
-                    nid: c.cycles_served for nid, c in clients_by_id.items()
-                }
-                shard.run_cycle(now=float(step))
-                _await_cap_application(server, clients_by_id, served_before)
-                heartbeat.beat()
-                if (step + 1) % self.period_cycles == 0:
-                    shard.summarize(cycle=step)
-                self._ack(step, "ok")
-        finally:
-            shard.stop()
-            for client in clients:
-                try:
-                    client.join()
-                except RuntimeError:
-                    pass  # A crashed attempt's client dies on its socket.
+    codec: str = "binary"
 
 
 def run_sharded(
@@ -359,25 +215,47 @@ def run_sharded(
     config: ArbiterConfig | None = None,
     chaos: ShardChaosSchedule | None = None,
     recovery: RecoveryOptions | None = None,
-    resilience: ResilienceConfig | None = None,
-    safety: SafetyConfig | None = None,
     invariant_mode: str = "strict",
     timeout_s: float = 5.0,
     rng: np.random.Generator | None = None,
-    mode: str = "thread",
+    mode: str = "process",
     manager_name: str | None = None,
-    codec: str | None = None,
+    codec: str = "binary",
     max_ack_events: int = 256,
 ) -> ShardedResult:
     """Run a sharded control-plane session over localhost TCP.
+
+    The ``cluster`` argument contributes topology, the RAPL noise level
+    and the global budget, not live physics: every shard-server builds
+    its slice as a private sub-cluster, and the per-unit power/caps
+    histories are assembled from the shards' cycle acknowledgements
+    (NaN while a shard's process is down — a dead process reports
+    nothing).
+
+    Cycles are **pipelined one deep**: each step splits into a
+    *dispatch* phase (cycle N+1's demand slices pushed to every shard,
+    plus the clock-side chaos — link partition/heal, kill/hang signals,
+    admit spawn, drain SIGTERM) and a *finalize* phase (cycle N's acks
+    collected in cycle order, histories scattered, arbiter-side chaos
+    fired, the arbiter cycle run).  Dispatching N+1 before collecting N
+    lets every shard compute while the parent is busy finalizing,
+    without giving up lock-step determinism: acks are still applied
+    strictly in cycle order, a chaos victim's outstanding ack is
+    settled before the process is signalled, and every arbiter-relative
+    ordering (chaos after arbiter cycle N-1, before arbiter cycle N) is
+    exactly the sequential schedule's.  The pipeline deliberately
+    breaks at arbiter period boundaries: the arbiter re-cuts leases
+    there, and its grants must reach every shard before the next demand
+    slice does, or grant application would race the cycle it funds.
+    A heal redials the link and takes the shard's answering HELLO before
+    the cycle's demand goes out, so the shard's next summary rejoins it.
 
     Args:
         cluster: the simulated hardware; its nodes are partitioned into
             ``n_shards`` contiguous groups.
         n_shards: shard servers to run (1 ≤ n_shards ≤ n_nodes).
-        manager_factory: shard id → a fresh (unbound) power manager for
-            that shard; bound here to the shard's slice topology with
-            the shard's initial lease as its budget.
+        manager_factory: shard id → a fresh power manager; it must
+            build the manager ``manager_name`` names (checked once).
         demand_fn: step index → per-unit demand for the *whole* cluster.
         cycles: control cycles to run.
         checkpoint_dir: root for per-shard and arbiter checkpoints.
@@ -387,379 +265,59 @@ def run_sharded(
         recovery: checkpoint/supervisor knobs shared by every shard
             (``checkpoint_dir`` inside it is ignored — shards get
             subdirectories of this function's ``checkpoint_dir``).
-        resilience: client quarantine knobs for every shard server.
-        safety: deploy-layer safety config for every shard server.
         invariant_mode: the arbiter's invariant-monitor cadence
             (``"strict"`` raises — the chaos-test posture).
         timeout_s: per-shard deploy-server socket deadline.
-        rng: manager randomness; child streams are spawned per shard.
-        mode: ``"thread"`` runs shards on worker threads with loopback
-            links (the default); ``"process"`` runs each shard as a
-            ``dps-repro shard-server`` subprocess behind a real TCP
-            link, supervised with OS signals.
-        manager_name: power-manager registry name, required in process
-            mode (the subprocess rebuilds the manager from its name;
-            ``manager_factory`` is not picklable across an exec).
-        codec: process-mode clock-plane bulk encoding — ``"binary"``
-            (raw array frames, :mod:`repro.comm.wire`; the default) or
-            ``"json"`` (float lists, the reference encoding the binary
-            one is checked against).  Thread mode has no wire and
-            accepts only ``None`` or ``"json"``.
+        rng: draws each shard's seed (sub-cluster noise and manager
+            randomness), admitted shards included; a respawn keeps the
+            seed it was first given.
+        mode: ``"process"``, the only driver; kept as a keyword so
+            callers that name it keep working.
+        manager_name: power-manager registry name (required: each
+            shard-server rebuilds its manager from the name, since a
+            factory does not survive an exec).
+        codec: clock-plane bulk encoding — ``"binary"`` (raw array
+            frames, :mod:`repro.comm.wire`; the default) or ``"json"``
+            (float lists, the reference encoding the binary one is
+            checked against).
         max_ack_events: per-ack structured-event cap each shard server
             enforces (overflow collapses into ``events_truncated``).
 
     Returns:
-        A :class:`ShardedResult`; every thread and socket is shut down
-        before returning, succeed or fail.
+        A :class:`ShardedResult`; every subprocess and socket is shut
+        down before returning, succeed or fail.
     """
+    if mode != "process":
+        raise ValueError(
+            f"mode={mode!r}: thread mode was removed; run_sharded runs "
+            "every shard as a shard-server process (mode='process')"
+        )
     if cycles < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
     if not 1 <= n_shards <= cluster.spec.n_nodes:
         raise ValueError(
             f"n_shards must be in [1, {cluster.spec.n_nodes}], got {n_shards}"
         )
-    if mode not in ("thread", "process"):
-        raise ValueError(f"mode must be 'thread' or 'process', got {mode!r}")
-    if codec is None:
-        codec = "binary" if mode == "process" else "json"
     if codec not in ("json", "binary"):
         raise ValueError(f"codec must be 'json' or 'binary', got {codec!r}")
-    if mode == "thread" and codec != "json":
-        raise ValueError("codec='binary' needs a wire; run with mode='process'")
+    if manager_name is None:
+        raise ValueError(
+            "run_sharded requires manager_name: each shard-server "
+            "rebuilds its manager by registry name"
+        )
+    built = manager_factory(0).name
+    if built != manager_name:
+        raise ValueError(
+            f"manager_factory builds {built!r} but manager_name is "
+            f"{manager_name!r}"
+        )
     cfg = config or ArbiterConfig()
     chaos = chaos or ShardChaosSchedule()
     recovery = recovery or RecoveryOptions(checkpoint_dir=checkpoint_dir)
     rng = rng if rng is not None else np.random.default_rng(0)
     root = Path(checkpoint_dir)
     _validate_chaos(chaos, n_shards)
-    if mode == "process":
-        if manager_name is None:
-            raise ValueError("mode='process' requires manager_name")
-        return _run_sharded_process(
-            cluster=cluster,
-            n_shards=n_shards,
-            manager_name=manager_name,
-            demand_fn=demand_fn,
-            cycles=cycles,
-            root=root,
-            dt_s=dt_s,
-            cfg=cfg,
-            chaos=chaos,
-            recovery=recovery,
-            invariant_mode=invariant_mode,
-            timeout_s=timeout_s,
-            codec=codec,
-            max_ack_events=max_ack_events,
-        )
-    if chaos.admit_at is not None or chaos.drain_at:
-        raise ValueError(
-            "admit/drain chaos needs real shard processes; run with "
-            "mode='process'"
-        )
 
-    # Partition the nodes (and therefore the unit range) contiguously.
-    n_nodes = cluster.spec.n_nodes
-    bounds = [round(i * n_nodes / n_shards) for i in range(n_shards + 1)]
-    groups = [
-        list(cluster.nodes[bounds[i] : bounds[i + 1]]) for i in range(n_shards)
-    ]
-    if any(not g for g in groups):
-        raise ValueError(
-            f"{n_shards} shards leave some shard empty over {n_nodes} nodes"
-        )
-    slices: list[slice] = []
-    cursor = 0
-    for group in groups:
-        width = sum(len(node.sockets) for node in group)
-        slices.append(slice(cursor, cursor + width))
-        cursor += width
-
-    units = np.asarray(
-        [s.stop - s.start for s in slices], dtype=np.float64
-    )
-    floor = units * cluster.spec.min_cap_w
-    ceiling = units * cluster.spec.tdp_w
-    initial = np.clip(
-        cluster.budget_w * units / float(units.sum()), floor, ceiling
-    )
-
-    harness_events = ResilienceEventLog()
-    timeline = LeaseTimeline()
-    shard_rngs = rng.spawn(n_shards)
-    shards: list[ShardServer] = []
-    links: list[ShardLink] = []
-    workers: list[_ShardWorker] = []
-    for i in range(n_shards):
-        manager = manager_factory(i)
-        manager.bind(
-            n_units=int(units[i]),
-            budget_w=float(initial[i]),
-            max_cap_w=cluster.spec.tdp_w,
-            min_cap_w=cluster.spec.min_cap_w,
-            dt_s=dt_s,
-            rng=shard_rngs[i],
-        )
-        shard_dir = root / f"shard-{i}"
-        controller = RecoverableController(
-            manager,
-            store=CheckpointStore(shard_dir, keep=recovery.keep_generations),
-            journal=CycleJournal(shard_dir / "journal.log"),
-            checkpoint_every=recovery.checkpoint_every,
-        )
-        link = ShardLink()
-        shard = ShardServer(
-            shard_id=i,
-            controller=controller,
-            link=link,
-            config=cfg,
-            events=ResilienceEventLog(),  # per-thread; merged at the end
-            resilience=resilience,
-            safety=safety,
-        )
-        shards.append(shard)
-        links.append(link)
-        workers.append(
-            _ShardWorker(
-                shard, groups[i], recovery, dt_s, cfg.period_cycles, timeout_s
-            )
-        )
-
-    specs = [
-        ArbiterShard(
-            shard_id=i,
-            link=links[i],
-            n_units=int(units[i]),
-            min_cap_w=cluster.spec.min_cap_w,
-            max_cap_w=cluster.spec.tdp_w,
-        )
-        for i in range(n_shards)
-    ]
-    arbiter_store = CheckpointStore(
-        root / "arbiter", keep=recovery.keep_generations
-    )
-
-    def make_arbiter() -> BudgetArbiter:
-        return BudgetArbiter(
-            budget_w=cluster.budget_w,
-            shards=specs,
-            initial_leases_w=initial,
-            config=cfg,
-            events=harness_events,
-            timeline=timeline,
-            store=arbiter_store,
-            invariant_mode=invariant_mode,
-        )
-
-    arbiter: BudgetArbiter | None = make_arbiter()
-    power_history = np.full((cycles, cluster.n_units), np.nan)
-    caps_history = np.full((cycles, cluster.n_units), np.nan)
-    counters = {
-        "arbiter_restarts": 0,
-        "arbiter_cycles": 0,
-        "sweeps": 0,
-        "violations": 0,
-    }
-    last_stats = None
-
-    cycle_wall = np.zeros(cycles, dtype=np.float64)
-    acks: queue.Queue = queue.Queue()
-    for worker in workers:
-        worker.start(acks)
-    try:
-        for step in range(cycles):
-            wall_t0 = time.perf_counter()
-            now = float(step)
-            for shard_id, at in chaos.partition_at.items():
-                if at == step:
-                    links[shard_id].partition()
-                    harness_events.emit(
-                        now,
-                        "shard_partitioned",
-                        node_id=shard_id,
-                        detail="link severed both directions",
-                    )
-            for shard_id, at in chaos.heal_at.items():
-                if at == step:
-                    links[shard_id].heal()
-                    harness_events.emit(
-                        now, "shard_partition_healed", node_id=shard_id
-                    )
-            if chaos.arbiter_kill_at == step and arbiter is not None:
-                counters["arbiter_cycles"] += arbiter.cycle
-                counters["sweeps"] += arbiter.monitor.sweeps_run
-                counters["violations"] += len(arbiter.monitor.violations)
-                arbiter = None
-                harness_events.emit(
-                    now, "arbiter_killed", detail="injected kill"
-                )
-            if chaos.arbiter_restart_at == step and arbiter is None:
-                arbiter = make_arbiter()
-                resumed = arbiter.resume()
-                counters["arbiter_restarts"] += 1
-                counters["arbiter_cycles"] -= arbiter.cycle
-                harness_events.emit(
-                    now,
-                    "arbiter_restarted",
-                    detail=f"resumed_from_checkpoint={resumed}",
-                )
-
-            cluster.step_physics(demand_fn(step), dt_s)
-            for worker in workers:
-                directive = None
-                if chaos.shard_kill_at.get(worker.shard.shard_id) == step:
-                    directive = "kill"
-                elif chaos.shard_hang_at.get(worker.shard.shard_id) == step:
-                    directive = "hang"
-                worker.commands.put(("cycle", step, directive))
-            statuses: dict[int, str] = {}
-            while len(statuses) < n_shards:
-                shard_id, ack_step, status = acks.get(timeout=_ACK_TIMEOUT_S)
-                if ack_step != step:
-                    raise RuntimeError(
-                        f"shard {shard_id} acked cycle {ack_step} during "
-                        f"cycle {step}"
-                    )
-                statuses[shard_id] = status
-            for shard_id, status in sorted(statuses.items()):
-                if status == "crashed":
-                    harness_events.emit(
-                        now,
-                        "shard_killed",
-                        node_id=shard_id,
-                        detail="controller crash injected",
-                    )
-                elif status == "hung":
-                    harness_events.emit(
-                        now,
-                        "shard_hung",
-                        node_id=shard_id,
-                        detail="watchdog abort pending",
-                    )
-
-            power_history[step] = cluster.true_power_w()
-            caps_history[step] = cluster.caps_w()
-
-            if arbiter is not None and (step + 1) % cfg.period_cycles == 0:
-                last_stats = arbiter.cycle_once(now=now)
-            cycle_wall[step] = time.perf_counter() - wall_t0
-    finally:
-        for worker in workers:
-            worker.commands.put(("stop",))
-        for worker in workers:
-            worker.thread.join(timeout=30.0)
-
-    if arbiter is not None:
-        counters["arbiter_cycles"] += arbiter.cycle
-        counters["sweeps"] += arbiter.monitor.sweeps_run
-        counters["violations"] += len(arbiter.monitor.violations)
-
-    for worker in workers:
-        if worker.error is not None:
-            harness_events.emit(
-                float(cycles),
-                "shard_dead",
-                node_id=worker.shard.shard_id,
-                detail=f"worker error: {worker.error}",
-            )
-
-    events = ResilienceEventLog()
-    events.extend(harness_events)
-    for shard in shards:
-        events.extend(shard.events)
-    for worker in workers:
-        events.extend(worker.supervisor.events)
-
-    return ShardedResult(
-        cycles=cycles,
-        n_shards=n_shards,
-        budget_w=cluster.budget_w,
-        events=events,
-        timeline=timeline,
-        leases_w=(
-            arbiter.leases_w
-            if arbiter is not None
-            else np.asarray([s.lease_w for s in shards])
-        ),
-        power_history=power_history,
-        caps_history=caps_history,
-        shard_restarts=[w.supervisor.restarts for w in workers],
-        failed_shards=tuple(
-            w.shard.shard_id for w in workers if w.failed
-        ),
-        arbiter_restarts=counters["arbiter_restarts"],
-        arbiter_cycles=counters["arbiter_cycles"],
-        invariant_sweeps=counters["sweeps"],
-        invariant_violations=counters["violations"],
-        worst_case_w=last_stats.worst_case_w if last_stats else None,
-        steady_w=last_stats.steady_w if last_stats else None,
-        bytes_links=sum(link.bytes_total for link in links),
-        checkpoint_dir=root,
-        cycle_wall_s=cycle_wall,
-    )
-
-
-def _validate_chaos(chaos: ShardChaosSchedule, n_shards: int) -> None:
-    for label, schedule in (
-        ("shard_kill_at", chaos.shard_kill_at),
-        ("shard_hang_at", chaos.shard_hang_at),
-        ("partition_at", chaos.partition_at),
-        ("heal_at", chaos.heal_at),
-        ("drain_at", chaos.drain_at),
-    ):
-        for shard_id in schedule:
-            if not 0 <= shard_id < n_shards:
-                raise ValueError(
-                    f"chaos {label} names unknown shard {shard_id}"
-                )
-
-
-def _run_sharded_process(
-    cluster: Cluster,
-    n_shards: int,
-    manager_name: str,
-    demand_fn: Callable[[int], np.ndarray],
-    cycles: int,
-    root: Path,
-    dt_s: float,
-    cfg: ArbiterConfig,
-    chaos: ShardChaosSchedule,
-    recovery: RecoveryOptions,
-    invariant_mode: str,
-    timeout_s: float,
-    codec: str = "binary",
-    max_ack_events: int = 256,
-) -> ShardedResult:
-    """Process-mode session: shard-server subprocesses, real TCP links.
-
-    The parent hosts only the :class:`~repro.shard.arbiter.BudgetArbiter`
-    and the lock-step clock.  Each shard-server owns its slice of the
-    hardware as a private sub-cluster, so the ``cluster`` argument
-    contributes topology and the global budget, not live physics; the
-    per-unit power/caps histories are assembled from the shards' cycle
-    acknowledgements (NaN while a shard's process is down — a dead
-    process reports nothing, unlike a thread whose hardware the parent
-    can still read).
-
-    Cycles are **pipelined one deep**: each step splits into a
-    *dispatch* phase (cycle N+1's demand slices pushed to every shard,
-    plus the clock-side chaos — kill/hang signals, admit spawn, drain
-    SIGTERM) and a *finalize* phase (cycle N's acks collected in cycle
-    order, histories scattered, arbiter-side chaos fired, the arbiter
-    cycle run).  Dispatching N+1 before collecting N lets every shard
-    compute while the parent is busy finalizing, without giving up
-    lock-step determinism: acks are still applied strictly in cycle
-    order, a chaos victim's outstanding ack is settled before the
-    process is signalled, and every arbiter-relative ordering (chaos
-    after arbiter cycle N-1, before arbiter cycle N) is exactly the
-    sequential schedule's.  The pipeline deliberately breaks at arbiter
-    period boundaries: the arbiter re-cuts leases there, and its grants
-    must reach every shard before the next demand slice does, or grant
-    application would race the cycle it funds.  The one observable
-    shift: a shard's summary for cycle N is sent while the parent may
-    not yet have fired cycle N's link chaos, so a partition/heal lands
-    one summary later relative to the shard clock (arbiter-relative
-    timing unchanged).
-    """
     spec = cluster.spec
     n_nodes = spec.n_nodes
     bounds = [round(i * n_nodes / n_shards) for i in range(n_shards + 1)]
@@ -800,8 +358,9 @@ def _run_sharded_process(
             manager=manager_name,
             lease_w=lease_w,
             dt_s=dt_s,
-            seed=shard_id,
+            seed=int(rng.integers(2**31)),
             dir=root / f"shard-{shard_id}",
+            noise_std_w=cluster.rapl_config.noise_std_w,
             period_cycles=cfg.period_cycles,
             lease_term_cycles=cfg.lease_term_cycles,
             checkpoint_every=recovery.checkpoint_every,
@@ -821,6 +380,17 @@ def _run_sharded_process(
     links: dict[int, TcpShardLink] = {}
     arb_specs: dict[int, ArbiterShard] = {}
 
+    def dial(link: TcpShardLink, consume_hello: bool = True) -> None:
+        # Kick the dial now so the shard holds an arbiter connection
+        # before its next summary.  Member links also drain the shard's
+        # answering HELLO here, leaving the buffer empty so the
+        # pre-collection wait below latches onto the first real summary;
+        # an admitted shard's HELLO is left in place — the arbiter's
+        # admission path must see it.
+        link.take_summaries()
+        if consume_hello and link.wait_readable(2.0):
+            link.take_summaries()
+
     def make_link(shard_id: int, consume_hello: bool = True) -> TcpShardLink:
         proc = supervisor.fleet[shard_id]
         assert proc.address is not None
@@ -831,15 +401,7 @@ def _run_sharded_process(
             events=harness_events,
             clock=lambda: clock_now["now"],
         )
-        # Kick the dial now so the shard holds an arbiter connection
-        # before its first summary.  Member links also drain the shard's
-        # answering HELLO here, leaving the buffer empty so the
-        # pre-collection wait below latches onto the first real summary;
-        # an admitted shard's HELLO is left in place — the arbiter's
-        # admission path must see it.
-        link.take_summaries()
-        if consume_hello and link.wait_readable(2.0):
-            link.take_summaries()
+        dial(link, consume_hello)
         return link
 
     arbiter_store = CheckpointStore(
@@ -880,6 +442,8 @@ def _run_sharded_process(
     deferred_admits: dict[int, list[int]] = {}
     deferred_drains: dict[int, list[int]] = {}
     saved_members: list[ArbiterShard] | None = None
+    #: The killed arbiter's leases, reported if none runs at the end.
+    last_leases = np.full(n_shards, np.nan)
     next_shard_id = n_shards
     arbiter: BudgetArbiter | None = None
     pending: PendingCycle | None = None
@@ -900,7 +464,30 @@ def _run_sharded_process(
     ) -> PendingCycle:
         """Push cycle ``step`` to the fleet; clock-side chaos fires here."""
         nonlocal next_shard_id
-        clock_now["now"] = float(step)
+        now = float(step)
+        clock_now["now"] = now
+        # Link chaos fires here, before the cycle's demand goes out, so
+        # a shard computes the cycle already cut off or already back: a
+        # healed shard must hold an arbiter connection when it sends its
+        # next summary.  Only boundary finalizes touch the links, and
+        # those always run before the next dispatch, so the order
+        # against the arbiter is the sequential schedule's.
+        for shard_id, at in chaos.partition_at.items():
+            if at == step:
+                links[shard_id].partition()
+                harness_events.emit(
+                    now,
+                    "shard_partitioned",
+                    node_id=shard_id,
+                    detail="TCP link severed (dial suppressed)",
+                )
+        for shard_id, at in chaos.heal_at.items():
+            if at == step:
+                links[shard_id].heal()
+                harness_events.emit(
+                    now, "shard_partition_healed", node_id=shard_id
+                )
+                dial(links[shard_id])
         if chaos.admit_at == step:
             shard_id = next_shard_id
             next_shard_id += 1
@@ -953,29 +540,15 @@ def _run_sharded_process(
 
     def finalize_phase(step: int, pend: PendingCycle) -> None:
         """Collect cycle ``step``; arbiter-relative chaos fires here."""
-        nonlocal arbiter, saved_members, last_stats
+        nonlocal arbiter, saved_members, last_leases, last_stats
         now = float(step)
         clock_now["now"] = now
-        for shard_id, at in chaos.partition_at.items():
-            if at == step:
-                links[shard_id].partition()
-                harness_events.emit(
-                    now,
-                    "shard_partitioned",
-                    node_id=shard_id,
-                    detail="TCP link severed (dial suppressed)",
-                )
-        for shard_id, at in chaos.heal_at.items():
-            if at == step:
-                links[shard_id].heal()
-                harness_events.emit(
-                    now, "shard_partition_healed", node_id=shard_id
-                )
         if chaos.arbiter_kill_at == step and arbiter is not None:
             counters["arbiter_cycles"] += arbiter.cycle
             counters["sweeps"] += arbiter.monitor.sweeps_run
             counters["violations"] += len(arbiter.monitor.violations)
             saved_members = list(arbiter.member_specs)
+            last_leases = arbiter.leases_w
             arbiter = None
             harness_events.emit(now, "arbiter_killed", detail="injected kill")
         if chaos.arbiter_restart_at == step and arbiter is None:
@@ -1109,11 +682,7 @@ def _run_sharded_process(
         budget_w=cluster.budget_w,
         events=events,
         timeline=timeline,
-        leases_w=(
-            arbiter.leases_w
-            if arbiter is not None
-            else np.full(n_shards, np.nan)
-        ),
+        leases_w=arbiter.leases_w if arbiter is not None else last_leases,
         power_history=power_history,
         caps_history=caps_history,
         shard_restarts=[supervisor.restarts.get(i, 0) for i in range(n_shards)],
@@ -1127,7 +696,6 @@ def _run_sharded_process(
         bytes_links=sum(link.bytes_total for link in links.values()),
         checkpoint_dir=root,
         cycle_wall_s=cycle_wall,
-        mode="process",
         admitted=tuple(admitted),
         drained=tuple(drained),
         drained_rcs=drained_rcs,
@@ -1135,3 +703,18 @@ def _run_sharded_process(
         bytes_clock=supervisor.bytes_clock,
         codec=codec,
     )
+
+
+def _validate_chaos(chaos: ShardChaosSchedule, n_shards: int) -> None:
+    for label, schedule in (
+        ("shard_kill_at", chaos.shard_kill_at),
+        ("shard_hang_at", chaos.shard_hang_at),
+        ("partition_at", chaos.partition_at),
+        ("heal_at", chaos.heal_at),
+        ("drain_at", chaos.drain_at),
+    ):
+        for shard_id in schedule:
+            if not 0 <= shard_id < n_shards:
+                raise ValueError(
+                    f"chaos {label} names unknown shard {shard_id}"
+                )

@@ -198,11 +198,12 @@ class ShardSummary:
 class ShardLink:
     """Duplex arbiter↔shard channel with wire-faithful framing.
 
-    Thread-safe: the arbiter runs on the harness thread while each shard
-    runs on its own worker thread.  Documents are serialized to real
-    frames at the sending edge and reassembled at the receiving edge, so
-    a protocol bug (oversized frame, malformed body) fails here exactly
-    as it would over TCP.
+    The in-memory form of the link contract
+    :class:`~repro.comm.shardlink.TcpShardLink` implements over TCP; the
+    arbiter and shard-server unit tests run over it.  Thread-safe.
+    Documents are serialized to real frames at the sending edge and
+    reassembled at the receiving edge, so a protocol bug (oversized
+    frame, malformed body) fails here exactly as it would over TCP.
 
     A partitioned link drops frames at send time in both directions —
     the sender learns nothing (``send_*`` still returns False so the

@@ -5,8 +5,8 @@ OS process.  It owns a private sub-cluster (the shard's slice of the
 simulated hardware), a full crash-recoverable stack —
 :class:`~repro.recovery.controller.RecoverableController` + journal +
 checkpoints under ``--dir`` — and a :class:`~repro.shard.server.
-ShardServer` with its deploy server and node-agent clients, exactly the
-stack a thread-mode shard runs in :mod:`repro.shard.harness`.
+ShardServer` with its deploy server and node-agent clients.
+:func:`repro.shard.harness.run_sharded` drives a fleet of these hosts.
 
 The host listens on one TCP port (kernel-chosen with ``--port 0``; the
 bound address is published atomically through ``--port-file``) and

@@ -1,8 +1,7 @@
-"""Subprocess fleet management for process-mode sharded sessions.
+"""Subprocess fleet management for sharded sessions.
 
-:class:`ShardSupervisor` is the OS-process analog of the thread-per-
-shard :class:`~repro.recovery.supervisor.Supervisor` loop in
-:mod:`repro.shard.harness`: it spawns each shard as a real
+:class:`ShardSupervisor` is the fleet driver behind
+:func:`repro.shard.harness.run_sharded`: it spawns each shard as a real
 ``dps-repro shard-server`` subprocess (``python -m repro shard-server``),
 drives the fleet in lock step over per-shard TCP clock connections, and
 applies the chaos plan with the operating system's own weapons —
@@ -467,23 +466,6 @@ class ShardSupervisor:
 
     # -- the lock-step cycle --------------------------------------------
 
-    def command(
-        self,
-        step: int,
-        demands: dict[int, np.ndarray],
-        kill_ids: set[int] | None = None,
-        hang_ids: set[int] | None = None,
-    ) -> dict[int, tuple[str, dict | None]]:
-        """Drive every fleet shard through one cycle, start to finish.
-
-        The sequential convenience around :meth:`dispatch` +
-        :meth:`collect`.  Mirrors the thread harness's ack statuses:
-        ``ok`` (with the ack document), ``crashed`` (SIGKILL landed this
-        cycle), ``hung`` (injected or detected silence), ``outage``
-        (restart in progress), ``failed`` (restart budget exhausted).
-        """
-        return self.collect(self.dispatch(step, demands, kill_ids, hang_ids))
-
     def dispatch(
         self,
         step: int,
@@ -530,7 +512,7 @@ class ShardSupervisor:
                 )
                 proc.kill()
                 self._hung.discard(shard_id)
-                self._crash(shard_id)
+                self._crash(shard_id, step)
                 statuses[shard_id] = (
                     ("failed", None)
                     if shard_id in self.failed
@@ -539,12 +521,12 @@ class ShardSupervisor:
                 continue
             if shard_id in self._outage:
                 statuses[shard_id] = ("outage", None)
-                self._tick_outage(shard_id)
+                self._tick_outage(shard_id, step)
                 continue
             if shard_id in kill_ids:
                 self.settle(pending, shard_id)
                 proc.kill()
-                self._crash(shard_id)
+                self._crash(shard_id, step)
                 statuses[shard_id] = ("crashed", None)
                 continue
             if shard_id in hang_ids:
@@ -558,7 +540,7 @@ class ShardSupervisor:
                 # Unexpected death (not scheduled chaos) — treat as a
                 # crash and consume the restart budget.
                 self.settle(pending, shard_id)
-                self._crash(shard_id)
+                self._crash(shard_id, step)
                 statuses[shard_id] = ("crashed", None)
                 continue
             out.awaiting.append(shard_id)
@@ -590,7 +572,15 @@ class ShardSupervisor:
     def collect(
         self, pending: PendingCycle
     ) -> dict[int, tuple[str, dict | None]]:
-        """Await every outstanding ack of a dispatched cycle."""
+        """Await every outstanding ack of a dispatched cycle.
+
+        Returns:
+            shard id → ``(status, ack)``.  Statuses: ``ok`` (with the
+            ack document), ``crashed`` (SIGKILL landed this cycle),
+            ``hung`` (injected or detected silence), ``outage``
+            (restart in progress), ``failed`` (restart budget
+            exhausted).
+        """
         for shard_id in list(pending.awaiting):
             proc = self.fleet.get(shard_id)
             ack = (
@@ -612,7 +602,7 @@ class ShardSupervisor:
                 )
                 if proc is not None:
                     proc.kill()
-                self._crash(shard_id)
+                self._crash(shard_id, pending.step)
                 pending.statuses[shard_id] = ("hung", None)
             else:
                 pending.statuses[shard_id] = ("ok", ack)
@@ -621,10 +611,13 @@ class ShardSupervisor:
 
     # -- restart bookkeeping --------------------------------------------
 
-    def _crash(self, shard_id: int) -> None:
+    # Restart events are stamped with the cycle they happen in, so the
+    # merged log orders them after the fault that caused them.
+
+    def _crash(self, shard_id: int, step: int) -> None:
         self.restarts[shard_id] += 1
         self.events.emit(
-            float(self.restarts[shard_id]),
+            float(step),
             "controller_killed",
             node_id=shard_id,
             detail=f"shard-server process down (restart {self.restarts[shard_id]})",
@@ -635,19 +628,19 @@ class ShardSupervisor:
         if self.recovery.restart_delay_cycles > 0:
             self._outage[shard_id] = self.recovery.restart_delay_cycles
         else:
-            self._respawn(shard_id)
+            self._respawn(shard_id, step)
 
-    def _tick_outage(self, shard_id: int) -> None:
+    def _tick_outage(self, shard_id: int, step: int) -> None:
         self._outage[shard_id] -= 1
         if self._outage[shard_id] <= 0:
             del self._outage[shard_id]
-            self._respawn(shard_id)
+            self._respawn(shard_id, step)
 
-    def _respawn(self, shard_id: int) -> None:
+    def _respawn(self, shard_id: int, step: int) -> None:
         proc = self.fleet[shard_id]
         proc.spawn(resume=True)
         self.events.emit(
-            float(self.restarts[shard_id]),
+            float(step),
             "controller_restarted",
             node_id=shard_id,
             detail=(
@@ -656,7 +649,7 @@ class ShardSupervisor:
             ),
         )
         self.events.emit(
-            float(self.restarts[shard_id]),
+            float(step),
             "shard_restarted",
             node_id=shard_id,
             detail=(

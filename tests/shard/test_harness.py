@@ -1,8 +1,8 @@
-"""The loopback multi-shard harness: clean runs and the chaos acceptance.
+"""The multi-shard harness: clean runs and the chaos acceptance.
 
-The acceptance bar (mirrored by the CI ``shard-chaos-soak`` job): eight
-real shard servers over localhost TCP under one arbiter, with a shard
-killed mid-session, another hung until its watchdog fires, a link
+The acceptance bar (mirrored by the CI ``shard-chaos`` job): eight
+shard-server processes over localhost TCP under one arbiter, with a
+shard killed mid-session, another hung until its watchdog fires, a link
 partitioned and healed, and the arbiter itself killed and restarted from
 its checkpoint — the global budget-conservation invariant holds on every
 arbiter cycle and every recovery step is a structured event.
@@ -49,6 +49,7 @@ def run(cluster, tmp_path, n_shards, cycles, chaos=None, config=None,
         recovery=recovery
         or RecoveryOptions(checkpoint_dir=tmp_path / "ckpt"),
         rng=np.random.default_rng(seed),
+        manager_name="constant",
     )
 
 
@@ -137,7 +138,7 @@ class TestCleanRun:
         frozen = {e.node_id for e in result.events.of_kind("shard_frozen")}
         assert frozen == {0, 1}
         assert not result.events.of_kind("shard_unfrozen")
-        # Final leases come from the shards themselves.
+        # Final leases are the killed arbiter's last grants.
         assert float(result.leases_w.sum()) <= result.budget_w * (1 + 1e-9)
 
 

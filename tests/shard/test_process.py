@@ -1,16 +1,15 @@
-"""Process-mode acceptance: a real shard-server fleet under OS chaos.
+"""Shard-server fleet acceptance: OS chaos, live membership, codecs.
 
-The thread-mode harness (:mod:`tests.shard.test_harness`) proves the
-lease protocol against *simulated* failures.  This module re-runs the
-same failure matrix with nothing simulated: each shard is a
-``dps-repro shard-server`` subprocess behind a real TCP link, SIGKILL
-stands in for a crash, SIGTERM for a graceful drain, and a severed
-socket for a partition — plus the two drills only live membership makes
-possible, admitting a new shard and draining an old one mid-chaos.
-The acceptance bar is unchanged: the global budget-conservation
+:mod:`tests.shard.test_harness` holds the eight-shard failure matrix.
+This module adds the drills only live membership makes possible —
+admitting a new shard and draining an old one mid-chaos — with each
+shard a ``dps-repro shard-server`` subprocess behind a real TCP link,
+SIGKILL standing in for a crash, SIGTERM for a graceful drain, and a
+severed socket for a partition.  It also pins the clock codecs to one
+trace, and the session's inputs (seed, RAPL noise, manager) to the
+fleet that runs.  The acceptance bar: the global budget-conservation
 invariant holds on every arbiter cycle and every recovery or membership
-step is a structured event.  Mirrored by the CI ``shard-process-chaos``
-job.
+step is a structured event.  Mirrored by the CI ``shard-chaos`` job.
 """
 
 import json
@@ -38,20 +37,22 @@ def make_cluster(n_nodes, sockets_per_node=1, seed=0):
 def run_process(cluster, tmp_path, n_shards, cycles, chaos=None, config=None,
                 recovery=None, **kwargs):
     demand = np.full(cluster.n_units, 0.6)
+    options = {
+        "manager_factory": lambda i: ConstantManager(),
+        "demand_fn": lambda step: demand,
+        "manager_name": "constant",
+        **kwargs,
+    }
     return run_sharded(
         cluster,
         n_shards=n_shards,
-        manager_factory=lambda i: ConstantManager(),
-        demand_fn=lambda step: demand,
         cycles=cycles,
         checkpoint_dir=tmp_path / "ckpt",
         config=config or ArbiterConfig(period_cycles=2),
         chaos=chaos,
         recovery=recovery
         or RecoveryOptions(checkpoint_dir=tmp_path / "ckpt"),
-        mode="process",
-        manager_name="constant",
-        **kwargs,
+        **options,
     )
 
 
@@ -93,19 +94,17 @@ class TestScheduleValidation:
                 drain_at={0: 10}, arbiter_kill_at=8, arbiter_restart_at=14
             )
 
-    def test_thread_mode_rejects_membership_chaos(self, tmp_path):
+    def test_thread_mode_is_gone(self, tmp_path):
         cluster = make_cluster(4)
-        with pytest.raises(ValueError, match="process"):
-            run_sharded(
-                cluster,
-                n_shards=2,
-                manager_factory=lambda i: ConstantManager(),
-                demand_fn=lambda step: np.full(cluster.n_units, 0.5),
-                cycles=4,
-                checkpoint_dir=tmp_path / "ckpt",
-                chaos=ShardChaosSchedule(admit_at=2),
-                recovery=RecoveryOptions(checkpoint_dir=tmp_path / "ckpt"),
-            )
+        with pytest.raises(ValueError, match="thread mode was removed"):
+            run_process(cluster, tmp_path, n_shards=2, cycles=4,
+                        mode="thread")
+
+    def test_factory_must_build_the_named_manager(self, tmp_path):
+        cluster = make_cluster(4)
+        with pytest.raises(ValueError, match="'dps'.*'constant'"):
+            run_process(cluster, tmp_path, n_shards=2, cycles=4,
+                        manager_factory=lambda i: create_manager("dps"))
 
     def test_process_mode_requires_manager_name(self, tmp_path):
         cluster = make_cluster(4)
@@ -128,7 +127,6 @@ class TestProcessCleanRun:
         result = run_process(cluster, tmp_path, n_shards=2, cycles=8)
         dump_artifacts(result, tmp_path, "process_clean")
 
-        assert result.mode == "process"
         assert result.invariant_violations == 0
         assert result.invariant_sweeps == result.arbiter_cycles > 0
         assert result.failed_shards == ()
@@ -239,6 +237,21 @@ class TestProcessChaosAcceptance:
         restarted = [e for e in result.events if e.kind == "shard_restarted"]
         assert len(restarted) == sum(result.shard_restarts)
 
+        # Restart bookkeeping is stamped with the cycle, so a log sorted
+        # on time puts it at or after the fault that caused it.
+        fault_at: dict[int, float] = {}
+        for e in result.events:
+            if e.kind in ("shard_killed", "shard_hung"):
+                fault_at[e.node_id] = min(e.time_s, fault_at.get(e.node_id, e.time_s))
+        assert (fault_at[1], fault_at[2]) == (6.0, 10.0)
+        for event in result.events:
+            if event.kind in (
+                "controller_killed",
+                "controller_restarted",
+                "shard_restarted",
+            ):
+                assert event.time_s >= fault_at[event.node_id], event
+
         # Membership events carry the member they concern.
         admitted = [e for e in result.events if e.kind == "shard_admitted"]
         assert [e.node_id for e in admitted] == [4]
@@ -263,21 +276,35 @@ class TestProcessChaosAcceptance:
         assert "resumed_from_checkpoint=True" in restarts[0].detail
 
 
-class TestCodecParity:
-    def test_thread_mode_rejects_binary_codec(self, tmp_path):
-        cluster = make_cluster(4)
-        with pytest.raises(ValueError, match="binary"):
-            run_sharded(
-                cluster,
-                n_shards=2,
-                manager_factory=lambda i: ConstantManager(),
-                demand_fn=lambda step: np.full(cluster.n_units, 0.5),
-                cycles=4,
-                checkpoint_dir=tmp_path / "ckpt",
-                recovery=RecoveryOptions(checkpoint_dir=tmp_path / "ckpt"),
-                codec="binary",
-            )
+class TestLinkChaos:
+    def test_heal_right_after_a_mid_period_partition(self, tmp_path):
+        """A one-cycle partition off the arbiter boundary still heals.
 
+        The partition (cycle 4) and the heal (cycle 5) fall inside one
+        arbiter period, where the pipeline dispatches cycle 5 before it
+        finalizes cycle 4; the heal must still land after the
+        partition, or the link stays severed for good.
+        """
+        cluster = make_cluster(4)
+        result = run_process(
+            cluster,
+            tmp_path,
+            n_shards=2,
+            cycles=16,
+            chaos=ShardChaosSchedule(partition_at={0: 4}, heal_at={0: 5}),
+            config=ArbiterConfig(period_cycles=2, lease_term_cycles=2),
+        )
+        assert result.invariant_violations == 0
+        assert result.link_reconnects == 1
+        kinds = [e.kind for e in result.events]
+        assert "shard_partition_healed" in kinds
+        assert "shard_dead" not in kinds
+        # Shard 0 reports to the arbiter again, on a live lease.
+        last = result.timeline.for_shard(0)[-1]
+        assert not last.dark and not last.frozen
+
+
+class TestCodecParity:
     def test_binary_codec_bit_identical_under_chaos(self, tmp_path):
         """The binary wire is an encoding, not a different computation.
 
@@ -321,14 +348,14 @@ class TestCodecParity:
         assert ref.bytes_clock > 0
         assert bin_.bytes_clock > 0
 
-    def test_full_node_frames_bit_identical_across_modes_and_codecs(self, tmp_path):
-        """Thread, process/json and process/binary give one DPS trace.
+    def test_full_node_frames_bit_identical_across_codecs(self, tmp_path):
+        """The json and binary clock planes give one DPS trace.
 
         Two shards of two 200-socket nodes each, so every node-agent
         frame carries 200 messages of the packed 3-byte wire, under a
         mixed idle/steady/bursty demand and no chaos.  The caps and
-        power histories must match bit for bit across all three, and
-        process mode with no ``codec`` must pick the binary wire.
+        power histories must match bit for bit across both codecs, and
+        a session with no ``codec`` must pick the binary wire.
         """
         spec = ClusterSpec(n_nodes=4, sockets_per_node=200)
         rng = np.random.default_rng(5)
@@ -345,11 +372,7 @@ class TestCodecParity:
             return np.where(off, spec.idle_power_w, base)
 
         runs = {}
-        for name, mode, codec in (
-            ("thread", "thread", None),
-            ("json", "process", "json"),
-            ("binary", "process", None),
-        ):
+        for name, codec in (("json", {"codec": "json"}), ("binary", {})):
             cluster = Cluster(
                 spec, RaplConfig(noise_std_w=0.0), np.random.default_rng(0)
             )
@@ -364,18 +387,17 @@ class TestCodecParity:
                 config=ArbiterConfig(period_cycles=2),
                 recovery=RecoveryOptions(checkpoint_dir=root / "ckpt"),
                 rng=np.random.default_rng(0),
-                mode=mode,
                 manager_name="dps",
-                codec=codec,
+                **codec,
             )
-        assert runs["binary"].codec == "binary"
-        ref = runs["thread"]
+        ref, bin_ = runs["json"], runs["binary"]
+        assert bin_.codec == "binary"
         assert ref.caps_history.shape == (12, n_units)
-        for name in ("json", "binary"):
-            result = runs[name]
+        assert np.isfinite(ref.caps_history).all()
+        for result in (ref, bin_):
             assert result.invariant_violations == 0
-            assert np.array_equal(ref.caps_history, result.caps_history)
-            assert np.array_equal(ref.power_history, result.power_history)
+        assert np.array_equal(ref.caps_history, bin_.caps_history)
+        assert np.array_equal(ref.power_history, bin_.power_history)
 
     def test_ack_event_cap_truncates_with_marker(self, tmp_path):
         """An over-cap ack drops the tail and says so, once per ack."""
@@ -433,3 +455,43 @@ class TestGracefulDrain:
             < max(s.cycle for s in survivor_samples)
         )
         assert survivor_samples[-1].lease_w >= survivor_samples[0].lease_w
+
+
+class TestSessionInputs:
+    def _dps_run(self, tmp_path, seed, noise_std_w=1.5):
+        cluster = Cluster(
+            ClusterSpec(n_nodes=4, sockets_per_node=2),
+            RaplConfig(noise_std_w=noise_std_w),
+            np.random.default_rng(0),
+        )
+        level = np.linspace(60.0, 140.0, cluster.n_units)
+        return run_process(
+            cluster,
+            tmp_path,
+            n_shards=2,
+            cycles=8,
+            manager_factory=lambda i: create_manager("dps"),
+            manager_name="dps",
+            demand_fn=lambda step: level * (1.0 + 0.2 * (step % 3)),
+            rng=np.random.default_rng(seed),
+        )
+
+    def test_seed_and_noise_reach_the_shards(self, tmp_path):
+        """Meter noise is forwarded and each shard's seed comes from ``rng``.
+
+        With the cluster's 1.5 W noise, one seed replays bit for bit,
+        another seed moves the trace, and so does the same seed on a
+        noise-free cluster.
+        """
+        first = self._dps_run(tmp_path / "a", seed=3)
+        again = self._dps_run(tmp_path / "b", seed=3)
+        other = self._dps_run(tmp_path / "c", seed=4)
+        quiet = self._dps_run(tmp_path / "d", seed=3, noise_std_w=0.0)
+        for result in (first, again, other, quiet):
+            assert result.invariant_violations == 0
+            assert np.isfinite(result.power_history).all()
+        assert np.array_equal(first.power_history, again.power_history)
+        assert np.array_equal(first.caps_history, again.caps_history)
+        assert not np.array_equal(first.power_history, other.power_history)
+        assert not np.array_equal(first.power_history, quiet.power_history)
+

@@ -241,27 +241,19 @@ class TestShardsCli:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "sharded control plane (thread mode): 2 shards" in out
+        assert "sharded control plane: 2 shards" in out
         assert "budget respected" in out
         assert "0 violation(s)" in out
-
-    def test_thread_mode_rejects_membership_flags(self):
-        with pytest.raises(SystemExit, match="process"):
-            main(["shards", "--shards", "2", "--nodes", "4", "--cycles", "6",
-                  "--admit-at", "2"])
-        with pytest.raises(SystemExit, match="process"):
-            main(["shards", "--shards", "2", "--nodes", "4", "--cycles", "6",
-                  "--drain", "1@2"])
 
     def test_process_run_with_drain_renders_membership(self, capsys, tmp_path):
         code = main(
             ["shards", "--shards", "2", "--nodes", "4", "--cycles", "10",
-             "--mode", "process", "--drain", "1@4",
+             "--drain", "1@4",
              "--checkpoint-dir", str(tmp_path / "ckpt")]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "sharded control plane (process mode): 2 shards" in out
+        assert "sharded control plane: 2 shards" in out
         assert "drained: shard 1 (rc=0)" in out
         assert "shard_draining" in out
         assert "shard_drained" in out
