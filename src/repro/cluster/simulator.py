@@ -18,6 +18,7 @@ methodology, and records the artifact-style logs (telemetry + events).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -27,6 +28,14 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.cluster.events import EventLog, NodeFailureEvent
 from repro.cluster.perfmodel import progress_rate
+from repro.comm.network import NetworkModel
+from repro.comm.protocol import (
+    MAX_VALUE_W,
+    MSG_READING,
+    decode_batch,
+    encode_batch,
+    quantize_w,
+)
 from repro.core.config import (
     ClusterSpec,
     PerfModelConfig,
@@ -37,14 +46,7 @@ from repro.core.dps import DPSManager
 from repro.core.managers import PowerManager
 from repro.powercap.actuator import CapActuator
 from repro.powercap.faults import FaultConfig, FaultyMeter
-from repro.safety import (
-    BudgetEnvelope,
-    BudgetGuard,
-    InvariantContext,
-    InvariantMonitor,
-    SafetyConfig,
-    last_readjust_grants,
-)
+from repro.safety import ControlCycle, SafetyConfig
 from repro.telemetry.log import ResilienceEventLog, TelemetryLog
 from repro.workloads.runtime import WorkloadExecution
 from repro.workloads.spec import WorkloadSpec
@@ -144,12 +146,16 @@ class Simulation:
         record_telemetry: keep per-step traces (memory ~ steps x units).
         actuation_delay_steps: control intervals between a cap decision and
             it taking effect (1 models the networked client round trip).
-            Ignored when ``use_comm`` is set (the service applies caps).
-        use_comm: drive the control loop through the real server/client
-            protocol (:mod:`repro.comm`) instead of calling the manager
-            directly — readings travel as 3-byte messages (0.1 W
-            quantization included) and the result carries the measured
-            traffic/turnaround.  Not supported for demand-requiring
+            Ignored when ``use_comm`` is set (the clients program the
+            caps they receive at once).
+        use_comm: carry every cycle across the 3-byte protocol
+            (:mod:`repro.comm.protocol`): each node's readings are
+            encoded and decoded as one batch, as a node agent sends
+            them, and the caps are clamped to the wire range and
+            quantized to 0.1 W as the deploy server dispatches them.
+            The result carries the §6.5 traffic and turnaround
+            (:meth:`~repro.comm.network.NetworkModel.charge_cycle` plus
+            the timed decision).  Not supported for demand-requiring
             managers (the oracle has no wire format for true demand).
         failures: scheduled node crash/recovery events.  While a node is
             down its units draw no power, its workload stalls, and its
@@ -167,9 +173,7 @@ class Simulation:
             :class:`~repro.recovery.controller.RecoverableController`
             that journals every cycle's inputs to
             ``checkpoint_dir/journal.log`` and writes durable snapshot
-            generations there every ``checkpoint_every`` cycles.  Not
-            supported together with ``use_comm`` (the comm server steps
-            the manager directly, bypassing the journal).
+            generations there every ``checkpoint_every`` cycles.
         checkpoint_every: cycles between checkpoint generations (>= 1).
         resume: warm-restore the manager from the newest valid
             checkpoint in ``checkpoint_dir`` (replaying the journal
@@ -183,10 +187,9 @@ class Simulation:
             :class:`~repro.safety.guard.BudgetGuard` (worst-case
             committed power includes the actuator's in-flight pipeline
             and the domains' read-back caps), and runs the runtime
-            invariant monitors.  Not supported together with
-            ``use_comm`` (the comm server steps the manager and applies
-            caps itself, bypassing the actuation boundary the guard
-            gates).
+            invariant monitors — the same
+            :class:`~repro.safety.cycle.ControlCycle` the deploy server
+            runs.
     """
 
     def __init__(
@@ -223,17 +226,6 @@ class Simulation:
             raise ValueError(
                 "node-failure injection is not supported on the comm path; "
                 "use the deploy layer's chaos schedule instead"
-            )
-        if use_comm and checkpoint_dir is not None:
-            raise ValueError(
-                "checkpointing is not supported on the comm path: the comm "
-                "server steps the manager directly, bypassing the journal"
-            )
-        if use_comm and safety is not None:
-            raise ValueError(
-                "the safety envelope is not supported on the comm path: "
-                "the comm server steps the manager and applies caps "
-                "itself, bypassing the actuation boundary the guard gates"
             )
         if resume and checkpoint_dir is None:
             raise ValueError("resume requires checkpoint_dir")
@@ -350,35 +342,16 @@ class Simulation:
 
         actuator = CapActuator(
             cluster.domains,
-            delay_steps=self.actuation_delay_steps,
+            # Over the wire the clients program the caps they receive.
+            delay_steps=0 if self.use_comm else self.actuation_delay_steps,
             verify=self.verify_actuation,
         )
         actuator.issue(np.asarray(self.manager.caps))
         actuator.flush()
 
-        envelope: BudgetEnvelope | None = None
-        guard: BudgetGuard | None = None
-        monitor: InvariantMonitor | None = None
-        safety_events: ResilienceEventLog | None = None
-        clock = [0.0]  # Mutable cycle clock the rescale hook reads.
-        if self.safety is not None:
-            safety_events = ResilienceEventLog()
-            envelope = BudgetEnvelope(
-                cluster.n_units, cluster.budget_w, self.cluster_spec.tdp_w
-            )
-            guard = BudgetGuard(
-                envelope,
-                min_cap_w=self.cluster_spec.min_cap_w,
-                events=safety_events,
-                dry_run=not self.safety.guard,
-            )
-            if self.safety.invariant_mode != "off":
-                monitor = InvariantMonitor(
-                    mode=self.safety.invariant_mode,
-                    sample_every=self.safety.sample_every,
-                    events=safety_events,
-                    raise_on_violation=self.safety.raise_on_violation,
-                )
+        cycle = ControlCycle(stepper, self.safety)
+        envelope = cycle.envelope
+        if envelope is not None:
             # The simulator can read the hardware back directly, so the
             # applied view starts from the domains' real caps instead of
             # the pessimistic uncapped prior.
@@ -387,35 +360,9 @@ class Simulation:
                 slice(None), np.asarray(self.manager.caps)
             )
 
-            def emit_rescaled(name: str, over_w: float) -> None:
-                safety_events.emit(
-                    clock[0],
-                    "budget_rescaled",
-                    detail=f"manager={name} overshoot={over_w:.3f}W",
-                )
-
-            hook_seen: set[int] = set()
-            node: object | None = stepper
-            while node is not None and id(node) not in hook_seen:
-                hook_seen.add(id(node))
-                if getattr(node, "on_budget_rescaled", False) is None:
-                    node.on_budget_rescaled = emit_rescaled
-                node = (
-                    getattr(node, "manager", None)
-                    or getattr(node, "inner", None)
-                )
-
-        server = None
-        cycle_reports = []
-        if self.use_comm:
-            from repro.comm.network import NetworkModel
-            from repro.comm.service import PowerClient, PowerServer
-
-            server = PowerServer(
-                self.manager,
-                [PowerClient(node) for node in cluster.nodes],
-                NetworkModel(),
-            )
+        network = NetworkModel() if self.use_comm else None
+        node_ends = np.cumsum([len(node.sockets) for node in cluster.nodes])
+        turnarounds: list[float] = []
 
         telemetry = (
             TelemetryLog(cluster.n_units) if self.record_telemetry else None
@@ -526,52 +473,52 @@ class Simulation:
                         detail=f"run {e.runs_completed}",
                     )
 
-            # 4. Measure, decide, actuate — directly or over the wire.
-            if server is not None:
-                cycle_reports.append(server.control_cycle(dt))
-                readings = server.last_readings
-                new_caps = np.asarray(self.manager.caps)
-            else:
-                readings = cluster.read_powers_w(dt)
-                if down_units is not None:
-                    # A dead host's telemetry is a dropout, not a number.
-                    readings[down_units] = 0.0
-                new_caps = stepper.step(
-                    readings,
-                    demand if self.manager.requires_demand else None,
+            # 4. Measure, decide, actuate — optionally across the wire.
+            readings = cluster.read_powers_w(dt)
+            if down_units is not None:
+                # A dead host's telemetry is a dropout, not a number.
+                readings[down_units] = 0.0
+            if network is not None:
+                # Each node agent sends its sockets as one batch.
+                readings = np.concatenate(
+                    [
+                        decode_batch(
+                            encode_batch(
+                                MSG_READING,
+                                np.minimum(part, MAX_VALUE_W),
+                            )
+                        )[2]
+                        for part in np.split(readings, node_ends[:-1])
+                    ]
                 )
-                if envelope is not None:
-                    assert guard is not None
-                    clock[0] = now
-                    # Refresh the applied view from the hardware before
-                    # judging the candidate: the domains' current caps
-                    # are what the coming interval is committed to until
-                    # the new dispatch lands.
-                    envelope.record_applied(slice(None), cluster.caps_w())
-                    envelope.record_commanded(new_caps)
-                    decision = guard.enforce(
-                        new_caps,
-                        now=now,
-                        pending=actuator.pending,
-                        grants_w=last_readjust_grants(stepper),
-                    )
-                    new_caps = decision.caps_w
-                actuator.issue(new_caps)
-                if envelope is not None:
-                    envelope.record_dispatched(slice(None), new_caps)
-                drain_actuator(now)
-                if monitor is not None:
-                    monitor.run(
-                        InvariantContext(
-                            budget_w=cluster.budget_w,
-                            min_cap_w=self.cluster_spec.min_cap_w,
-                            max_cap_w=self.cluster_spec.tdp_w,
-                            caps_w=new_caps,
-                            readings_w=readings,
-                            manager=stepper,
-                        ),
-                        now=now,
-                    )
+            if envelope is not None:
+                # Refresh the applied view from the hardware before
+                # judging the candidate: the domains' current caps are
+                # what the coming interval is committed to until the
+                # new dispatch lands.
+                envelope.record_applied(slice(None), cluster.caps_w())
+            started = time.perf_counter()
+            new_caps = cycle.decide(
+                readings,
+                now,
+                demand if self.manager.requires_demand else None,
+                pending=actuator.pending,
+            )
+            dispatched = new_caps
+            if network is not None:
+                turnarounds.append(
+                    time.perf_counter()
+                    - started
+                    + network.charge_cycle(cluster.n_units)
+                )
+                # The deploy server's dispatch: clamp to the wire range,
+                # then the 0.1 W quantum the clients decode.
+                dispatched = quantize_w(np.clip(new_caps, 0.0, MAX_VALUE_W))
+            actuator.issue(dispatched)
+            if envelope is not None:
+                envelope.record_dispatched(slice(None), dispatched)
+            drain_actuator(now)
+            cycle.check(new_caps, readings)
 
             safe = bool(getattr(self.manager, "safe_mode", False))
             if safe != in_safe_mode:
@@ -610,14 +557,9 @@ class Simulation:
             telemetry.events.extend(mgr_events)
         if telemetry is not None and controller is not None:
             telemetry.events.extend(controller.events)
+        safety_events = cycle.events if self.safety is not None else None
         if telemetry is not None and safety_events is not None:
             telemetry.events.extend(safety_events)
-        comm_bytes = sum(r.bytes_up + r.bytes_down for r in cycle_reports)
-        comm_turnaround = (
-            float(np.mean([r.turnaround_s for r in cycle_reports]))
-            if cycle_reports
-            else 0.0
-        )
         return SimulationResult(
             executions=executions,
             telemetry=telemetry,
@@ -628,8 +570,10 @@ class Simulation:
             budget_w=cluster.budget_w,
             max_caps_sum_w=max_caps_sum,
             durations=durations,
-            comm_bytes=comm_bytes,
-            comm_turnaround_s=comm_turnaround,
+            comm_bytes=network.stats.bytes if network is not None else 0,
+            comm_turnaround_s=(
+                float(np.mean(turnarounds)) if turnarounds else 0.0
+            ),
             checkpoints_written=(
                 len(controller.events.of_kind("checkpoint_written"))
                 if controller is not None
@@ -642,6 +586,11 @@ class Simulation:
             actuation_retries=actuator.retries,
             actuation_verify_failures=actuator.verify_failures,
             safety_events=safety_events,
-            budget_excursions=guard.excursions if guard is not None else 0,
-            guard_rungs=dict(guard.rungs_taken) if guard is not None else {},
+            budget_excursions=(
+                cycle.guard.excursions if cycle.guard is not None else 0
+            ),
+            guard_rungs=(
+                dict(cycle.guard.rungs_taken) if cycle.guard is not None
+                else {}
+            ),
         )

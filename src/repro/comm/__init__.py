@@ -1,4 +1,4 @@
-"""Simulated server/client control plane and its 3-byte wire protocol."""
+"""The 3-byte wire protocol, its network cost model, and the shard links."""
 
 from repro.comm.net import bind_listener
 from repro.comm.network import LinkStats, NetworkModel
@@ -10,7 +10,6 @@ from repro.comm.protocol import (
     decode,
     encode,
 )
-from repro.comm.service import CycleReport, PowerClient, PowerServer
 from repro.comm.shardlink import TcpShardLink
 from repro.comm.wire import (
     MAX_FRAME_BYTES,
@@ -22,7 +21,6 @@ from repro.comm.wire import (
 )
 
 __all__ = [
-    "CycleReport",
     "FrameAssembler",
     "FrameError",
     "LinkStats",
@@ -32,8 +30,6 @@ __all__ = [
     "MSG_READING",
     "Message",
     "NetworkModel",
-    "PowerClient",
-    "PowerServer",
     "TcpShardLink",
     "bind_listener",
     "decode",

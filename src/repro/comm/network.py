@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.comm.protocol import MESSAGE_SIZE_BYTES
+
 __all__ = ["NetworkModel", "LinkStats"]
 
 
@@ -92,6 +94,19 @@ class NetworkModel:
         self.stats.bytes += n_bytes
         self.stats.busy_s += latency
         return latency
+
+    def charge_cycle(self, n_units: int) -> float:
+        """Account one control cycle's traffic and return its latency (s).
+
+        A cycle moves one 3-byte reading up and one 3-byte cap down per
+        unit; clients are polled concurrently, so propagation is paid
+        once per direction while every message's serialized cost adds
+        up.
+        """
+        serialized = sum(
+            self.transfer(MESSAGE_SIZE_BYTES) for _ in range(2 * n_units)
+        )
+        return 2 * self.propagation_s() + serialized
 
     def propagation_s(self) -> float:
         """One direction's overlapped propagation latency (paid per cycle)."""

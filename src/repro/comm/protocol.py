@@ -36,6 +36,7 @@ __all__ = [
     "encode_batch",
     "decode_batch",
     "quantize_w",
+    "MAX_VALUE_W",
 ]
 
 #: Message type tags.
@@ -46,12 +47,13 @@ MSG_CAP = 1
 MESSAGE_SIZE_BYTES = 3
 
 _MAX_UNIT = (1 << 10) - 1
-_MAX_VALUE_W = ((1 << 12) - 1) / 10.0
+#: Largest value a message carries: 12 bits of 0.1 W steps (409.5 W).
+MAX_VALUE_W = ((1 << 12) - 1) / 10.0
 
 
-def quantize_w(value_w: float) -> float:
-    """The wire value (W) a power value serializes to: 0.1 W steps,
-    ties rounded half-up.
+def quantize_w(value_w: float | np.ndarray) -> float | np.ndarray:
+    """The wire value (W) a power value — or an array of them —
+    serializes to: 0.1 W steps, ties rounded half-up.
 
     Python's built-in ``round`` uses banker's rounding, so a value whose
     float product lands exactly on the 0.05 W boundary (e.g. 0.25 W ->
@@ -61,7 +63,7 @@ def quantize_w(value_w: float) -> float:
     every boundary; anything a peer decodes equals ``quantize_w`` of what
     was sent.
     """
-    return math.floor(value_w * 10.0 + 0.5) / 10.0
+    return np.floor(np.asarray(value_w, dtype=np.float64) * 10.0 + 0.5) / 10.0
 
 
 class Message(NamedTuple):
@@ -94,9 +96,9 @@ def encode(kind: int, unit: int, value_w: float) -> bytes:
         raise ValueError(f"unknown message kind {kind}")
     if not 0 <= unit <= _MAX_UNIT:
         raise ValueError(f"unit must be in [0, {_MAX_UNIT}], got {unit}")
-    if not 0.0 <= value_w <= _MAX_VALUE_W:
+    if not 0.0 <= value_w <= MAX_VALUE_W:
         raise ValueError(
-            f"value_w must be in [0, {_MAX_VALUE_W}], got {value_w}"
+            f"value_w must be in [0, {MAX_VALUE_W}], got {value_w}"
         )
     # Half-up, not round(): banker's rounding would turn exact 0.05 W
     # boundaries into round-to-even (see quantize_w).
@@ -144,11 +146,11 @@ def encode_batch(kind: int, values_w: np.ndarray) -> bytes:
     if n > _MAX_UNIT + 1:
         raise ValueError(f"unit must be in [0, {_MAX_UNIT}], got {n - 1}")
     # NaN fails both comparisons, so it lands in `bad` with the rest.
-    bad = ~((values >= 0.0) & (values <= _MAX_VALUE_W))
+    bad = ~((values >= 0.0) & (values <= MAX_VALUE_W))
     if bad.any():
         value = float(values[np.argmax(bad)])
         raise ValueError(
-            f"value_w must be in [0, {_MAX_VALUE_W}], got {value}"
+            f"value_w must be in [0, {MAX_VALUE_W}], got {value}"
         )
     quantized = np.floor(values * 10.0 + 0.5).astype(np.uint32)
     words = (

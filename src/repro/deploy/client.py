@@ -1,12 +1,10 @@
 """The per-node DPS client daemon over real TCP sockets (paper §4.3).
 
-``DeployClient`` is the deployable counterpart of
-:class:`repro.comm.service.PowerClient`: it connects to the server,
-registers its node's sockets, and services POLL → READINGS → CAPS cycles
-until QUIT.  Power comes from its node's meters and caps land on its
-node's RAPL domains — on real hardware those would be sysfs powercap
-reads/writes; here they are the simulated domains, through the identical
-code path.
+``DeployClient`` connects to the server, registers its node's sockets,
+and services POLL → READINGS → CAPS cycles until QUIT.  Power comes
+from its node's meters and caps land on its node's RAPL domains — on
+real hardware those would be sysfs powercap reads/writes; here they are
+the simulated domains, through the identical code path.
 """
 
 from __future__ import annotations
@@ -19,6 +17,7 @@ import numpy as np
 
 from repro.cluster.node import Node
 from repro.comm.protocol import (
+    MAX_VALUE_W,
     MSG_CAP,
     MSG_READING,
     decode_batch,
@@ -100,7 +99,7 @@ class DeployClient:
                 framing.send_batch(
                     sock,
                     framing.FRAME_READINGS,
-                    encode_batch(MSG_READING, np.minimum(powers, 409.5)),
+                    encode_batch(MSG_READING, np.minimum(powers, MAX_VALUE_W)),
                 )
                 self._apply_caps(framing.recv_batch(sock, framing.FRAME_CAPS))
                 self.cycles_served += 1

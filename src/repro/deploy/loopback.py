@@ -299,124 +299,22 @@ def run_loopback(
         dt_s=dt_s,
         rng=rng if rng is not None else np.random.default_rng(0),
     )
-    if recovery is None:
-        return _run_plain(
-            cluster, manager, demand_fn, cycles, dt_s, chaos, resilience,
-            poll_mode, safety,
-        )
-    return _run_supervised(
-        cluster, manager, demand_fn, cycles, dt_s, chaos, resilience,
-        recovery, poll_mode, safety,
-    )
-
-
-def _run_plain(
-    cluster: Cluster,
-    manager: PowerManager,
-    demand_fn: Callable[[int], np.ndarray],
-    cycles: int,
-    dt_s: float,
-    chaos: ChaosSchedule,
-    resilience: ResilienceConfig | None,
-    poll_mode: str,
-    safety: SafetyConfig | None,
-) -> LoopbackResult:
-    """The unsupervised session: one attempt, no checkpoints."""
-    caps_history = np.empty((cycles, cluster.n_units))
-    readings_history = np.empty((cycles, cluster.n_units))
-    power_history = np.empty((cycles, cluster.n_units))
-    bytes_total = 0
-    fallback_cycles = 0
-
-    originals: list[DeployClient] = []
-    replacements: list[DeployClient] = []
-    nodes_by_id = {node.node_id: node for node in cluster.nodes}
-    clients_by_id: dict[int, DeployClient] = {}
-    with DeployServer(
-        manager, resilience=resilience, poll_mode=poll_mode, safety=safety
-    ) as server:
-        try:
-            for node in cluster.nodes:
-                client = DeployClient(node, server.address, dt_s=dt_s)
-                client.start()
-                originals.append(client)
-                clients_by_id[node.node_id] = client
-            server.accept_clients(len(originals))
-
-            for step in range(cycles):
-                for node_id, kill_cycle in chaos.kill_at.items():
-                    if kill_cycle == step:
-                        clients_by_id[node_id].kill()
-                for node_id, rc_cycle in chaos.reconnect_at.items():
-                    if rc_cycle == step:
-                        fresh = DeployClient(
-                            nodes_by_id[node_id], server.address, dt_s=dt_s
-                        )
-                        fresh.start()
-                        replacements.append(fresh)
-                        clients_by_id[node_id] = fresh
-
-                demand = demand_fn(step)
-                cluster.step_physics(demand, dt_s)
-                served_before = {
-                    nid: c.cycles_served for nid, c in clients_by_id.items()
-                }
-                stats = server.control_cycle()
-                _await_cap_application(server, clients_by_id, served_before)
-                bytes_total += stats.bytes_up + stats.bytes_down
-                readings_history[step] = stats.readings_w
-                caps_history[step] = np.asarray(manager.caps)
-                power_history[step] = cluster.true_power_w()
-                if stats.fallback_units > 0:
-                    fallback_cycles += 1
-            final_health = server.health
-        finally:
-            server.shutdown()
-            for client in originals + replacements:
-                client.join()
-
-    return LoopbackResult(
-        cycles=cycles,
-        bytes_total=bytes_total,
-        caps_history=caps_history,
-        readings_history=readings_history,
-        power_history=power_history,
-        client_cycles=[c.cycles_served for c in originals],
-        fallback_cycles=fallback_cycles,
-        events=server.events,
-        timings=server.timings,
-        final_health=final_health,
-    )
-
-
-def _run_supervised(
-    cluster: Cluster,
-    manager: PowerManager,
-    demand_fn: Callable[[int], np.ndarray],
-    cycles: int,
-    dt_s: float,
-    chaos: ChaosSchedule,
-    resilience: ResilienceConfig | None,
-    recovery: RecoveryOptions,
-    poll_mode: str,
-    safety: SafetyConfig | None,
-) -> LoopbackResult:
-    """The supervised session: restartable attempts over one step counter."""
-    ckpt_dir = Path(recovery.checkpoint_dir)
+    # A plain session is one unsupervised attempt stepping the bare
+    # manager; recovery options wrap it in a journaling controller and
+    # run the attempts under a supervisor.
     events = ResilienceEventLog()
     timings = CycleTimingLog()
-    controller = RecoverableController(
-        manager,
-        store=CheckpointStore(ckpt_dir, keep=recovery.keep_generations),
-        journal=CycleJournal(ckpt_dir / "journal.log"),
-        checkpoint_every=recovery.checkpoint_every,
-        events=events,
-    )
-    supervisor = Supervisor(
-        max_restarts=recovery.max_restarts,
-        hang_timeout_s=recovery.hang_timeout_s,
-        events=events,
-    )
+    controller: RecoverableController | None = None
+    if recovery is not None:
+        ckpt_dir = Path(recovery.checkpoint_dir)
+        controller = RecoverableController(
+            manager,
+            store=CheckpointStore(ckpt_dir, keep=recovery.keep_generations),
+            journal=CycleJournal(ckpt_dir / "journal.log"),
+            checkpoint_every=recovery.checkpoint_every,
+            events=events,
+        )
+    stepper = controller if controller is not None else manager
 
     caps_history = np.full((cycles, cluster.n_units), np.nan)
     readings_history = np.full((cycles, cluster.n_units), np.nan)
@@ -436,8 +334,11 @@ def _run_supervised(
         caps_history[step] = cluster.caps_w()
         power_history[step] = cluster.true_power_w()
 
-    def attempt(index: int, heartbeat: Heartbeat) -> dict[int, HealthState]:
+    def attempt(
+        index: int, heartbeat: Heartbeat | None
+    ) -> dict[int, HealthState]:
         if index > 0:
+            assert controller is not None and recovery is not None
             # The restart window: the supervisor is re-launching the
             # controller while the machines keep running under their
             # last programmed caps.
@@ -458,7 +359,7 @@ def _run_supervised(
         clients: list[DeployClient] = []
         clients_by_id: dict[int, DeployClient] = {}
         with DeployServer(
-            controller,
+            stepper,
             resilience=resilience,
             events=events,
             poll_mode=poll_mode,
@@ -510,10 +411,11 @@ def _run_supervised(
                     _await_cap_application(
                         server, clients_by_id, served_before
                     )
-                    heartbeat.beat()
+                    if heartbeat is not None:
+                        heartbeat.beat()
                     state["bytes"] += stats.bytes_up + stats.bytes_down
                     readings_history[step] = stats.readings_w
-                    caps_history[step] = np.asarray(controller.caps)
+                    caps_history[step] = np.asarray(stepper.caps)
                     power_history[step] = cluster.true_power_w()
                     if stats.fallback_units > 0:
                         state["fallback"] += 1
@@ -526,13 +428,25 @@ def _run_supervised(
                 server.shutdown()
                 for client in clients:
                     # A client of a crashed controller exits on the broken
-                    # socket; don't let its error fail the session.
+                    # socket; under a supervisor its error must not fail
+                    # the session.
                     try:
                         client.join()
                     except RuntimeError:
-                        pass
+                        if controller is None:
+                            raise
 
-    health = supervisor.run(attempt)
+    if recovery is None:
+        health = attempt(0, None)
+        restarts = 0
+    else:
+        supervisor = Supervisor(
+            max_restarts=recovery.max_restarts,
+            hang_timeout_s=recovery.hang_timeout_s,
+            events=events,
+        )
+        health = supervisor.run(attempt)
+        restarts = supervisor.restarts
 
     return LoopbackResult(
         cycles=cycles,
@@ -545,7 +459,7 @@ def _run_supervised(
         events=events,
         timings=timings,
         final_health=health,
-        controller_restarts=supervisor.restarts,
+        controller_restarts=restarts,
         checkpoints_written=len(events.of_kind("checkpoint_written")),
         journal_replayed=state["replayed"],
     )

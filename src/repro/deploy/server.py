@@ -1,10 +1,10 @@
 """The DPS central server over real TCP sockets (paper §4.3).
 
-``DeployServer`` is the deployable counterpart of the in-memory
-:class:`repro.comm.service.PowerServer`: it listens on a TCP port, waits
-for every client daemon to register, and then runs one-second control
-cycles — poll every client, collect readings, run the bound power
-manager, push per-unit CAPS frames back.
+``DeployServer`` listens on a TCP port, waits for every client daemon
+to register, and then runs one-second control cycles — poll every
+client, collect readings, decide through the shared
+:class:`~repro.safety.cycle.ControlCycle` (the core the simulator runs
+too), push per-unit CAPS frames back.
 
 The cycle is a concurrent fan-out/fan-in, not a sequential
 request/response chain: POLL is broadcast to every healthy client up
@@ -51,23 +51,18 @@ import numpy as np
 
 from repro.comm.net import bind_listener
 from repro.comm.protocol import (
+    MAX_VALUE_W,
     MESSAGE_SIZE_BYTES,
     MSG_CAP,
     MSG_READING,
     decode_batch,
     encode_batch,
+    quantize_w,
 )
 from repro.core.managers import PowerManager
 from repro.deploy import framing
 from repro.resilience.health import ClientHealth, HealthState, ResilienceConfig
-from repro.safety import (
-    BudgetEnvelope,
-    BudgetGuard,
-    InvariantContext,
-    InvariantMonitor,
-    SafetyConfig,
-    last_readjust_grants,
-)
+from repro.safety import ControlCycle, SafetyConfig
 from repro.telemetry.log import (
     CyclePhaseTimings,
     CycleTimingLog,
@@ -77,7 +72,7 @@ from repro.telemetry.log import (
 __all__ = ["DeployServer", "DeployCycleStats", "PROTOCOL_MAX_W"]
 
 #: Largest value a 3-byte protocol message can carry (§6.5 wire format).
-PROTOCOL_MAX_W = 409.5
+PROTOCOL_MAX_W = MAX_VALUE_W
 
 _ZERO_TIMINGS = CyclePhaseTimings(
     cycle=0, rejoin_s=0.0, poll_s=0.0, collect_s=0.0, decide_s=0.0,
@@ -174,12 +169,11 @@ class DeployServer:
             one client at a time over blocking sockets (the artifact's
             original chain, kept as a benchmark baseline).
         safety: budget-safety envelope configuration.  When given, the
-            server tracks commanded/dispatched/applied cap views per
-            unit (:attr:`envelope`), enforces the budget on worst-case
-            committed power at the actuation boundary (:attr:`guard`),
-            and runs the runtime invariant monitors (:attr:`monitor`).
-            All ``budget_*`` / ``invariant_violation`` emissions land in
-            :attr:`events`.
+            server's :attr:`cycle` tracks commanded/dispatched/applied
+            cap views per unit, enforces the budget on worst-case
+            committed power at the actuation boundary, and runs the
+            runtime invariant monitors.  All ``budget_*`` /
+            ``invariant_violation`` emissions land in :attr:`events`.
     """
 
     def __init__(
@@ -220,52 +214,8 @@ class DeployServer:
         self.total_caps_clamped = 0
 
         self.safety = safety
-        #: Cap-view ledger / budget guard / invariant monitor — None when
-        #: the safety envelope is disabled.
-        self.envelope: BudgetEnvelope | None = None
-        self.guard: BudgetGuard | None = None
-        self.monitor: InvariantMonitor | None = None
-        if safety is not None:
-            self.envelope = BudgetEnvelope(
-                manager.n_units, manager.budget_w, manager.max_cap_w
-            )
-            self.guard = BudgetGuard(
-                self.envelope,
-                min_cap_w=manager.min_cap_w,
-                events=self.events,
-                dry_run=not safety.guard,
-            )
-            if safety.invariant_mode != "off":
-                self.monitor = InvariantMonitor(
-                    mode=safety.invariant_mode,
-                    sample_every=safety.sample_every,
-                    events=self.events,
-                    raise_on_violation=safety.raise_on_violation,
-                )
-            self._hook_rescale_events()
-
-    def _hook_rescale_events(self) -> None:
-        """Surface manager-level budget rescales as structured events.
-
-        Walks the manager stack (recovery / resilience wrappers) and
-        attaches the ``on_budget_rescaled`` callback to every member that
-        exposes it and has no callback yet — only whoever actually
-        rescales ever fires.
-        """
-        seen: set[int] = set()
-        node: object | None = self.manager
-        while node is not None and id(node) not in seen:
-            seen.add(id(node))
-            if getattr(node, "on_budget_rescaled", False) is None:
-                node.on_budget_rescaled = self._emit_budget_rescaled
-            node = getattr(node, "manager", None) or getattr(node, "inner", None)
-
-    def _emit_budget_rescaled(self, name: str, over_w: float) -> None:
-        self.events.emit(
-            float(self._cycle),
-            "budget_rescaled",
-            detail=f"manager={name} overshoot={over_w:.3f}W",
-        )
+        #: The decide → guard → monitor core this server's cycles run.
+        self.cycle = ControlCycle(manager, safety, events=self.events)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -281,6 +231,16 @@ class DeployServer:
     def health(self) -> dict[int, HealthState]:
         """Current health state per registered node id."""
         return {c.node_id: c.health.state for c in self._clients}
+
+    @property
+    def quarantined_units(self) -> np.ndarray:
+        """Mask of the units whose client is quarantined — no dispatch
+        reaches them until the client rejoins."""
+        mask = np.zeros(self.manager.n_units, dtype=bool)
+        for record in self._clients:
+            if record.health.quarantined:
+                mask[record.base : record.base + record.n_units] = True
+        return mask
 
     def accept_clients(self, n_clients: int) -> None:
         """Block until ``n_clients`` have connected and sent HELLO.
@@ -499,6 +459,7 @@ class DeployServer:
         # Post-collection pass in registration order: decode, validate,
         # and transition health deterministically — arrival order was
         # only ever an I/O detail.
+        envelope = self.cycle.envelope
         bytes_up = 0
         for record in polled:
             if record.node_id in errors:
@@ -512,11 +473,11 @@ class DeployServer:
                     record, raw[record.node_id], readings
                 )
                 record.health.record_success()
-                if self.envelope is not None:
+                if envelope is not None:
                     # The client programs a CAPS batch before answering
                     # its next POLL, so a valid READINGS batch is the
                     # acknowledgement that the previous dispatch landed.
-                    self.envelope.confirm_applied(
+                    envelope.confirm_applied(
                         slice(record.base, record.base + record.n_units)
                     )
             except (RuntimeError, ValueError) as exc:
@@ -531,43 +492,16 @@ class DeployServer:
                 self._last_good[lo:hi] = readings[lo:hi]
         t3 = time.perf_counter()
 
-        caps = self.manager.step(readings)
-        guard_rung: str | None = None
-        if self.envelope is not None:
-            assert self.guard is not None
-            self.envelope.record_commanded(caps)
-            unreachable = np.zeros(self.manager.n_units, dtype=bool)
-            for record in self._clients:
-                if record.health.quarantined:
-                    lo, hi = record.base, record.base + record.n_units
-                    unreachable[lo:hi] = True
-            decision = self.guard.enforce(
-                caps,
-                now=float(self._cycle),
-                unreachable=unreachable,
-                assume_tdp=self.resilience.fallback == "assume-tdp",
-                grants_w=last_readjust_grants(self.manager),
-            )
-            caps = decision.caps_w
-            guard_rung = decision.rung
+        caps = self.cycle.decide(
+            readings,
+            now=float(self._cycle),
+            unreachable=self.quarantined_units,
+            assume_tdp=self.resilience.fallback == "assume-tdp",
+        )
         t4 = time.perf_counter()
 
         bytes_down, caps_clamped = self._dispatch_caps(caps, quarantined_now)
-        if self.monitor is not None:
-            # After dispatch on purpose: a strict-mode raise still fails
-            # the run this very cycle, but the clients are not left
-            # half-polled awaiting a CAPS batch that never comes.
-            self.monitor.run(
-                InvariantContext(
-                    budget_w=self.manager.budget_w,
-                    min_cap_w=self.manager.min_cap_w,
-                    max_cap_w=self.manager.max_cap_w,
-                    caps_w=caps,
-                    readings_w=readings,
-                    manager=self.manager,
-                ),
-                now=float(self._cycle),
-            )
+        self.cycle.check(caps, readings)
         t5 = time.perf_counter()
 
         timings = CyclePhaseTimings(
@@ -595,7 +529,7 @@ class DeployServer:
             quarantined=tuple(quarantined_now),
             rejoined=tuple(rejoined),
             timings=timings,
-            guard_rung=guard_rung,
+            guard_rung=self.cycle.rung,
         )
 
     def _broadcast_poll(
@@ -784,9 +718,10 @@ class DeployServer:
                     ),
                 )
             # The exact value the client will program: post-clamp,
-            # post-quantization (half-up, as protocol.quantize_w).
-            wire = np.floor(clamped * 10.0 + 0.5) / 10.0
+            # post-quantization.
+            wire = quantize_w(clamped)
             batches.append((record, encode_batch(MSG_CAP, clamped), wire))
+        envelope = self.cycle.envelope
         bytes_down = 0
         for record, payload, wire in batches:
             try:
@@ -797,8 +732,8 @@ class DeployServer:
                 self._quarantine(record, f"caps: {exc}")
                 quarantined_now.append(record.node_id)
             else:
-                if self.envelope is not None:
-                    self.envelope.record_dispatched(
+                if envelope is not None:
+                    envelope.record_dispatched(
                         slice(record.base, record.base + record.n_units),
                         wire,
                     )

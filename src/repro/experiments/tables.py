@@ -10,10 +10,10 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.cluster.simulator import Assignment, Simulation
 from repro.comm.network import NetworkModel
-from repro.comm.protocol import MESSAGE_SIZE_BYTES
-from repro.comm.service import PowerClient, PowerServer
+from repro.comm.protocol import MAX_VALUE_W, MESSAGE_SIZE_BYTES, quantize_w
 from repro.core.config import ClusterSpec
 from repro.experiments.harness import ExperimentConfig
+from repro.safety import ControlCycle
 from repro.workloads.registry import get_workload, workload_names
 
 __all__ = [
@@ -153,11 +153,13 @@ def overhead_analysis(
 ) -> list[OverheadRow]:
     """Reproduce the §6.5 overhead analysis.
 
-    Runs a real server/client message loop (3-byte protocol over the
-    latency-modelled network) at ``measured_nodes`` nodes, then projects the
-    measured per-unit costs to larger deployments exactly the way the paper
-    argues its scaling (serial per-message latency on the server NIC,
-    linear controller compute).
+    Runs the control loop across the 3-byte protocol at ``measured_nodes``
+    nodes — readings and caps quantized to the wire's 0.1 W grid, every
+    cycle's messages charged to the latency-modelled network, the decision
+    timed through the shared :class:`~repro.safety.cycle.ControlCycle` —
+    then projects the measured per-unit costs to larger deployments
+    exactly the way the paper argues its scaling (serial per-message
+    latency on the server NIC, linear controller compute).
 
     Returns:
         One row per cluster size, measured first.
@@ -182,22 +184,29 @@ def overhead_analysis(
         rng=np.random.default_rng(cfg.derive_seed("overhead")),
     )
     network = NetworkModel()
-    server = PowerServer(
-        manager, [PowerClient(node) for node in cluster.nodes], network
-    )
+    cycle = ControlCycle(manager)
+    dt = cfg.sim.dt_s
 
     rng = np.random.default_rng(cfg.derive_seed("overhead", "demand"))
-    reports = []
-    for _ in range(cycles):
+    cycle_network_s: list[float] = []
+    cycle_compute_s: list[float] = []
+    for step in range(cycles):
         demand = rng.uniform(40.0, 160.0, size=spec.n_units)
-        cluster.step_physics(demand, cfg.sim.dt_s)
-        reports.append(server.control_cycle(cfg.sim.dt_s))
+        cluster.step_physics(demand, dt)
+        readings = quantize_w(
+            np.minimum(cluster.read_powers_w(dt), MAX_VALUE_W)
+        )
+        started = time.perf_counter()
+        caps = cycle.decide(readings, now=float(step))
+        cycle_compute_s.append(time.perf_counter() - started)
+        cycle_network_s.append(network.charge_cycle(spec.n_units))
+        wire = quantize_w(np.clip(caps, 0.0, MAX_VALUE_W))
+        for dom, cap in zip(cluster.domains, wire.tolist()):
+            dom.set_cap_w(cap)
 
-    bytes_per_cycle = int(
-        np.mean([r.bytes_up + r.bytes_down for r in reports])
-    )
-    network_s = float(np.mean([r.network_s for r in reports]))
-    compute_s = float(np.median([r.compute_s for r in reports]))
+    bytes_per_cycle = network.stats.bytes // cycles
+    network_s = float(np.mean(cycle_network_s))
+    compute_s = float(np.median(cycle_compute_s))
     rows = [
         OverheadRow(
             n_nodes=measured_nodes,

@@ -27,12 +27,17 @@ This package closes the loop:
   idempotence) every cycle in strict mode or on a sampling cadence in
   deployment.
 
+* :class:`~repro.safety.cycle.ControlCycle` is the one decide → guard →
+  monitor core every driver (simulator, deploy server, shard) runs its
+  control cycles through.
+
 Every enforcement action and violation is a structured ``budget_*`` /
 ``invariant_violation`` telemetry event, so an excursion is detected,
 bounded, and visible — never silent.
 """
 
 from repro.safety.config import SafetyConfig
+from repro.safety.cycle import ControlCycle
 from repro.safety.envelope import BudgetEnvelope, CommittedPower
 from repro.safety.guard import BudgetGuard, GuardDecision, last_readjust_grants
 from repro.safety.invariants import (
@@ -44,10 +49,12 @@ from repro.safety.invariants import (
     available_invariants,
     default_invariants,
     register_invariant,
+    walk_manager_stack,
 )
 
 __all__ = [
     "SafetyConfig",
+    "ControlCycle",
     "BudgetEnvelope",
     "CommittedPower",
     "BudgetGuard",
@@ -61,4 +68,5 @@ __all__ = [
     "available_invariants",
     "default_invariants",
     "register_invariant",
+    "walk_manager_stack",
 ]

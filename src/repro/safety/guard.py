@@ -41,6 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from repro.safety.envelope import BudgetEnvelope, CommittedPower
+from repro.safety.invariants import walk_manager_stack
 from repro.telemetry.log import ResilienceEventLog
 
 __all__ = ["BudgetGuard", "GuardDecision", "last_readjust_grants"]
@@ -49,14 +50,11 @@ __all__ = ["BudgetGuard", "GuardDecision", "last_readjust_grants"]
 def last_readjust_grants(manager: object) -> np.ndarray | None:
     """The most recent readjust grant vector of a manager stack, if any.
 
-    Walks wrapper chains (``RecoverableController.manager``,
-    ``ResilientManager.inner``) until something exposes
-    ``last_grants_w``; returns None when nothing in the stack does.
+    Walks the stack (:func:`~repro.safety.invariants.walk_manager_stack`)
+    until something exposes ``last_grants_w``; returns None when nothing
+    in the stack does.
     """
-    seen: set[int] = set()
-    node: object | None = manager
-    while node is not None and id(node) not in seen:
-        seen.add(id(node))
+    for node in walk_manager_stack(manager):
         if hasattr(node, "last_grants_w"):
             # The first stack member that *defines* the attribute owns
             # the answer — a resilient wrapper in safe mode reports None
@@ -67,7 +65,6 @@ def last_readjust_grants(manager: object) -> np.ndarray | None:
             if grants is None:
                 return None
             return np.asarray(grants, dtype=np.float64)
-        node = getattr(node, "manager", None) or getattr(node, "inner", None)
     return None
 
 

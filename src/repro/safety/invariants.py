@@ -47,6 +47,7 @@ __all__ = [
     "available_invariants",
     "default_invariants",
     "register_invariant",
+    "walk_manager_stack",
 ]
 
 #: Relative tolerance for budget comparisons (matches the manager's own
@@ -114,8 +115,13 @@ class Invariant(ABC):
         """Return a violation detail string, or None when satisfied."""
 
 
-def _walk_manager_stack(manager: object | None):
-    """Yield each member of a (possibly wrapped) manager stack once."""
+def walk_manager_stack(manager: object | None):
+    """Yield each member of a (possibly wrapped) manager stack once.
+
+    Follows wrapper chains (``RecoverableController.manager``,
+    ``ResilientManager.inner``) outermost first; a member already seen
+    ends the walk, so a cyclic chain cannot loop forever.
+    """
     seen: set[int] = set()
     node = manager
     while node is not None and id(node) not in seen:
@@ -177,7 +183,7 @@ class ReadjustConservation(Invariant):
     name = "readjust-conservation"
 
     def check(self, ctx: InvariantContext) -> str | None:
-        for node in _walk_manager_stack(ctx.manager):
+        for node in walk_manager_stack(ctx.manager):
             info = getattr(node, "last_info", None)
             if info is None or not hasattr(info, "grants_w"):
                 continue
@@ -213,7 +219,7 @@ class FiniteKalman(Invariant):
     name = "finite-kalman"
 
     def check(self, ctx: InvariantContext) -> str | None:
-        for node in _walk_manager_stack(ctx.manager):
+        for node in walk_manager_stack(ctx.manager):
             bank = getattr(node, "_kalman", None)
             if bank is None:
                 continue
@@ -243,7 +249,7 @@ class SnapshotIdempotence(Invariant):
 
     def check(self, ctx: InvariantContext) -> str | None:
         manager = None
-        for node in _walk_manager_stack(ctx.manager):
+        for node in walk_manager_stack(ctx.manager):
             if hasattr(node, "snapshot") and hasattr(node, "_decide"):
                 manager = node
                 break
@@ -280,7 +286,7 @@ class ShardLeaseConservation(Invariant):
     name = "shard-lease-conservation"
 
     def check(self, ctx: InvariantContext) -> str | None:
-        for node in _walk_manager_stack(ctx.manager):
+        for node in walk_manager_stack(ctx.manager):
             worst = getattr(node, "shard_worst_case_w", None)
             if worst is None:
                 continue

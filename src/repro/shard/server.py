@@ -27,7 +27,7 @@ import numpy as np
 from repro.deploy.server import DeployCycleStats, DeployServer
 from repro.recovery.controller import RecoverableController
 from repro.resilience.health import ResilienceConfig
-from repro.safety import SafetyConfig
+from repro.safety import SafetyConfig, walk_manager_stack
 from repro.shard.lease import ArbiterConfig, BudgetLease, ShardLink, ShardSummary
 from repro.telemetry.log import ResilienceEventLog
 
@@ -187,8 +187,8 @@ class ShardServer:
     def _apply_budget(self, budget_w: float) -> None:
         """Push a budget through controller, manager, and safety stack."""
         self.controller.set_budget_w(budget_w)
-        if self.server is not None and self.server.envelope is not None:
-            self.server.envelope.budget_w = float(budget_w)
+        if self.server is not None and self.server.cycle.envelope is not None:
+            self.server.cycle.envelope.budget_w = float(budget_w)
 
     def _expire_lease(self, now: float) -> None:
         """Freeze at the last confirmed committed power (floor-clipped)."""
@@ -263,24 +263,21 @@ class ShardServer:
 
     def _committed(self) -> tuple[float, float]:
         """(steady, worst-case) committed power of the shard (W)."""
-        assert self.server is not None and self.server.envelope is not None
-        env = self.server.envelope
-        unreachable = np.zeros(self.n_units, dtype=bool)
-        for record in self.server._clients:
-            if record.health.quarantined:
-                unreachable[record.base : record.base + record.n_units] = True
+        assert self.server is not None
+        env = self.server.cycle.envelope
+        assert env is not None
         candidate = np.where(
             np.isfinite(env.dispatched_w), env.dispatched_w, env.applied_w
         )
         cp = env.assess(
             candidate_w=candidate,
-            unreachable=unreachable,
+            unreachable=self.server.quarantined_units,
             assume_tdp=self.resilience.fallback == "assume-tdp",
         )
         return cp.steady_total_w, cp.worst_case_total_w
 
     def _steady_committed_w(self) -> float:
-        if self.server is None or self.server.envelope is None:
+        if self.server is None or self.server.cycle.envelope is None:
             return float("nan")
         return self._committed()[0]
 
@@ -291,14 +288,10 @@ class ShardServer:
         step info); falls back to a utilization heuristic — committed
         power near the lease means the shard would use more.
         """
-        seen: set[int] = set()
-        node: object | None = self.controller.manager
-        while node is not None and id(node) not in seen:
-            seen.add(id(node))
+        for node in walk_manager_stack(self.controller.manager):
             info = getattr(node, "last_info", None)
             if info is not None and hasattr(info, "priority"):
                 return bool(np.any(np.asarray(info.priority, dtype=bool)))
-            node = getattr(node, "manager", None) or getattr(node, "inner", None)
         steady = self._steady_committed_w()
         budget = float(self.controller.budget_w)
         return bool(np.isfinite(steady) and steady >= 0.85 * budget)

@@ -53,3 +53,21 @@ class TestTransfer:
         net = NetworkModel()
         total_bytes = 1_000_000 * 3
         assert total_bytes / net.bandwidth_bytes_per_s < 0.01
+
+
+class TestChargeCycle:
+    def test_three_bytes_per_unit_each_way(self):
+        net = NetworkModel()
+        net.charge_cycle(4)
+        assert net.stats.messages == 8
+        assert net.stats.bytes == 4 * 3 * 2
+
+    def test_propagation_once_per_direction(self):
+        net = NetworkModel(
+            base_latency_s=1e-4,
+            server_per_message_s=2e-6,
+            bandwidth_bytes_per_s=1e6,
+        )
+        latency = net.charge_cycle(4)
+        assert latency == pytest.approx(2 * 1e-4 + 8 * (2e-6 + 3e-6))
+        assert net.stats.busy_s == pytest.approx(8 * (2e-6 + 3e-6))

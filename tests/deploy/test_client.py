@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.comm.protocol import MSG_CAP, decode_batch, encode
+from repro.comm.protocol import MSG_CAP, MSG_READING, decode_batch, encode
 from repro.core.config import ClusterSpec, RaplConfig
 from repro.deploy import framing
 from repro.deploy.client import DeployClient
@@ -33,14 +33,14 @@ def scripted():
     listener.close()
 
 
-def serve_one_cycle(client, conn, caps):
+def serve_one_cycle(client, conn, caps, kind=MSG_CAP):
     """Script POLL and a CAPS batch of ``(unit, watts)`` pairs, then let
     the client serve them; returns the READINGS payload it sent."""
     framing.send_tag(conn, framing.FRAME_POLL)
     framing.send_batch(
         conn,
         framing.FRAME_CAPS,
-        b"".join(encode(MSG_CAP, unit, w) for unit, w in caps),
+        b"".join(encode(kind, unit, w) for unit, w in caps),
     )
     framing.send_tag(conn, framing.FRAME_QUIT)
     try:
@@ -82,5 +82,16 @@ class TestCapsBatch:
         before = caps_of(client)
         with pytest.raises(ValueError, match=match):
             serve_one_cycle(client, conn, caps)
+        assert caps_of(client) == before
+        assert client.cycles_served == 0
+
+    def test_reading_kind_batch_raises_and_programs_nothing(self, scripted):
+        client, conn = scripted
+        before = caps_of(client)
+        with pytest.raises(ValueError, match="expected cap"):
+            serve_one_cycle(
+                client, conn, [(0, 70.0), (1, 80.0), (2, 90.0)],
+                kind=MSG_READING,
+            )
         assert caps_of(client) == before
         assert client.cycles_served == 0

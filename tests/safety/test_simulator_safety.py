@@ -1,12 +1,11 @@
 """Simulation + SafetyConfig: the envelope on the direct actuation path."""
 
 import numpy as np
-import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.simulator import Assignment, Simulation
 from repro.core.config import ClusterSpec, SimulationConfig
-from repro.core.managers import create_manager
+from repro.core.managers import PowerManager, create_manager
 from repro.safety import SafetyConfig
 from repro.workloads.phases import Hold, PhaseProgram, Ramp
 from repro.workloads.spec import WorkloadSpec
@@ -29,18 +28,22 @@ def tiny_workload(name="tiny", duration=20.0, level=140.0):
     )
 
 
-def make_sim(manager="dps", safety=None, **kwargs):
+def make_sim(manager="dps", safety=None, max_steps=5000, **kwargs):
     cluster = Cluster(SPEC)
     workloads = [
         (tiny_workload("a"), cluster.half_unit_ids(0)),
         (tiny_workload("b"), cluster.half_unit_ids(1)),
     ]
+    if isinstance(manager, str):
+        manager = create_manager(manager)
     return Simulation(
         cluster_spec=SPEC,
-        manager=create_manager(manager),
+        manager=manager,
         assignments=[Assignment(spec=w, unit_ids=u) for w, u in workloads],
         target_runs=1,
-        sim_config=SimulationConfig(max_steps=5000, inter_run_gap_s=2.0),
+        sim_config=SimulationConfig(
+            max_steps=max_steps, inter_run_gap_s=2.0, dt_s=1.0
+        ),
         seed=1,
         safety=safety,
         **kwargs,
@@ -84,14 +87,31 @@ class TestSimulatorEnvelope:
             plain.telemetry.caps_w, guarded.telemetry.caps_w
         )
 
-    def test_comm_path_rejected(self):
-        with pytest.raises(ValueError, match="comm path"):
-            make_sim(
-                safety=SafetyConfig(guard=True), use_comm=True
-            )
-
     def test_disabled_safety_leaves_result_fields_empty(self):
         result = make_sim().run()
         assert result.safety_events is None
         assert result.budget_excursions == 0
         assert result.guard_rungs == {}
+
+
+class Greedy(PowerManager):
+    """Asks every unit for its maximum cap, so every step rescales."""
+
+    name = "greedy"
+
+    def _decide(self, power_w, demand_w):
+        return np.full(self.n_units, self.max_cap_w)
+
+
+class TestRescaleEvents:
+    def test_rescales_are_stamped_with_the_deciding_step(self):
+        """The manager rescales while deciding at t = 1 ... 6 s; each
+        ``budget_rescaled`` event carries that step's time, not the
+        previous step's."""
+        result = make_sim(
+            manager=Greedy(), safety=SafetyConfig(guard=True), max_steps=6
+        ).run()
+        stamps = [
+            e.time_s for e in result.safety_events.of_kind("budget_rescaled")
+        ]
+        assert stamps == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
