@@ -3,18 +3,22 @@
 The paper's experiments run "two clusters in parallel to reflect a
 real-world cloud service utility" (§5.2) — two workloads, each on half of
 the client nodes, under one shared cluster-wide power budget.
-:class:`Cluster` owns the simulated hardware (all RAPL domains) and exposes
-the vectorized physics/metering interface the simulator drives, plus the
-half-split used by every pairing experiment.
+:class:`Cluster` owns the simulated hardware (one
+:class:`~repro.powercap.rapl.RaplBank` of every RAPL domain) and exposes
+the vectorized physics/metering/capping interface the simulator drives,
+plus the half-split used by every pairing experiment.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.config import ClusterSpec, RaplConfig
 from repro.cluster.node import Node, Socket
-from repro.powercap.rapl import RaplDomain
+from repro.powercap.faults import FaultConfig, MeterFaults
+from repro.powercap.rapl import ALL, RaplBank, RaplDomain
 from repro.powercap.sysfs import SysfsPowercap
 
 __all__ = ["Cluster"]
@@ -39,30 +43,28 @@ class Cluster:
         self.spec = spec or ClusterSpec()
         self.rapl_config = rapl_config or RaplConfig()
         rng = rng if rng is not None else np.random.default_rng(0)
-        socket_rngs = rng.spawn(self.spec.n_units)
+        #: Every socket's RAPL domain and meter state, in unit order.
+        self.bank = RaplBank(
+            self.spec.n_units,
+            max_power_w=self.spec.tdp_w,
+            min_power_w=self.spec.min_cap_w,
+            config=self.rapl_config,
+            initial_power_w=self.spec.idle_power_w,
+            rngs=rng.spawn(self.spec.n_units),
+        )
 
-        self.nodes: list[Node] = []
-        self.sockets: list[Socket] = []
-        unit_id = 0
-        for node_id in range(self.spec.n_nodes):
-            node_sockets = []
-            for _ in range(self.spec.sockets_per_node):
-                sock = Socket(
-                    unit_id=unit_id,
-                    node_id=node_id,
-                    tdp_w=self.spec.tdp_w,
-                    min_cap_w=self.spec.min_cap_w,
-                    rapl_config=self.rapl_config,
-                    rng=socket_rngs[unit_id],
-                    idle_power_w=self.spec.idle_power_w,
-                )
-                node_sockets.append(sock)
-                self.sockets.append(sock)
-                unit_id += 1
-            self.nodes.append(Node(node_id, node_sockets))
-        #: Topology is fixed after construction; building the domain
-        #: list per access shows up at fleet scale (it sits on the
-        #: per-cycle caps/power read path).
+        per_node = self.spec.sockets_per_node
+        self.sockets: list[Socket] = [
+            Socket.of(self.bank, unit_id, unit_id // per_node)
+            for unit_id in range(self.spec.n_units)
+        ]
+        self.nodes: list[Node] = [
+            Node(
+                node_id,
+                self.sockets[node_id * per_node:(node_id + 1) * per_node],
+            )
+            for node_id in range(self.spec.n_nodes)
+        ]
         self._domains = [s.domain for s in self.sockets]
 
     @property
@@ -107,11 +109,11 @@ class Cluster:
 
     def caps_w(self) -> np.ndarray:
         """Currently programmed per-unit caps (W)."""
-        return np.asarray([d.cap_w for d in self.domains], dtype=np.float64)
+        return self.bank.cap_w.copy()
 
     def true_power_w(self) -> np.ndarray:
         """True (hidden) per-unit power (W) — for accounting, not managers."""
-        return np.asarray([d.power_w for d in self.domains], dtype=np.float64)
+        return self.bank.power_w.copy()
 
     def step_physics(self, demand_w: np.ndarray, dt_s: float) -> np.ndarray:
         """Advance every domain one interval under the given demands.
@@ -128,49 +130,57 @@ class Cluster:
             raise ValueError(
                 f"demand shape {demand.shape} != ({self.n_units},)"
             )
-        out = np.empty(self.n_units, dtype=np.float64)
-        for i, dom in enumerate(self.domains):
-            out[i] = dom.step(float(demand[i]), dt_s)
-        return out
+        return self.bank.step(demand, dt_s)
 
     def read_powers_w(self, dt_s: float) -> np.ndarray:
         """Noisy per-unit power readings from every meter (W)."""
-        return np.asarray(
-            [s.meter.read_power_w(dt_s) for s in self.sockets],
-            dtype=np.float64,
-        )
+        return self.bank.read(ALL, dt_s)
+
+    def set_caps_w(self, caps_w: np.ndarray) -> np.ndarray:
+        """Program every unit's cap (W); returns the clamped limits."""
+        caps = np.asarray(caps_w, dtype=np.float64)
+        if caps.shape != (self.n_units,):
+            raise ValueError(f"caps shape {caps.shape} != ({self.n_units},)")
+        return self.bank.set_caps(ALL, caps)
+
+    def set_meter_faults(
+        self,
+        config: FaultConfig | None,
+        rngs: Sequence[np.random.Generator] = (),
+    ) -> None:
+        """Corrupt every meter's readings with stuck/dropout/spike faults.
+
+        Args:
+            config: fault probabilities; None removes installed faults
+                (the meters' healthy state was advanced all along).
+            rngs: one fault stream per unit.
+        """
+        if config is None:
+            self.bank.meter_faults = None
+            return
+        if len(rngs) != self.n_units:
+            raise ValueError(
+                f"{len(rngs)} fault generators for {self.n_units} units"
+            )
+        self.bank.meter_faults = MeterFaults(config, rngs)
 
     def rebaseline_meters(self) -> None:
         """Re-anchor every meter's energy cursor (controller restart).
 
-        See :meth:`~repro.powercap.rapl.PowerMeter.rebaseline`: without
+        See :meth:`~repro.powercap.rapl.RaplBank.rebaseline`: without
         this, the first post-restart reading is charged all the energy
         accumulated during the outage and comes back wildly inflated.
         """
-        for sock in self.sockets:
-            sock.meter.rebaseline()
+        self.bank.rebaseline()
 
     def snapshot(self) -> dict:
         """JSON-able document of every domain and meter (for deterministic
         replay of simulations; a real cluster's state lives in hardware)."""
-        return {
-            "domains": [d.snapshot() for d in self.domains],
-            "meters": [s.meter.snapshot() for s in self.sockets],
-        }
+        return self.bank.snapshot()
 
     def restore(self, state: dict) -> None:
         """Overwrite every domain and meter with a snapshot's content."""
-        domains = state["domains"]
-        meters = state["meters"]
-        if len(domains) != self.n_units or len(meters) != self.n_units:
-            raise ValueError(
-                f"snapshot holds {len(domains)}/{len(meters)} units, "
-                f"cluster has {self.n_units}"
-            )
-        for dom, doc in zip(self.domains, domains):
-            dom.restore(doc)
-        for sock, doc in zip(self.sockets, meters):
-            sock.meter.restore(doc)
+        self.bank.restore(state)
 
     def __repr__(self) -> str:
         return (

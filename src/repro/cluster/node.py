@@ -5,7 +5,7 @@ individually" — on the evaluation platform, a socket.  :class:`Socket` pairs
 one simulated RAPL domain with its power meter; :class:`Node` groups the
 sockets of one dual-socket machine and is the granularity at which the
 client daemon runs (one client per node reads and caps all of its sockets,
-§4.3).
+§4.3) — one bank operation over the node's units per read or cap batch.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import RaplConfig
-from repro.powercap.rapl import PowerMeter, RaplDomain
+from repro.powercap.rapl import PowerMeter, RaplBank, RaplDomain, bank_runs
 
 __all__ = ["Socket", "Node"]
 
@@ -52,6 +52,16 @@ class Socket:
         )
         self.meter = PowerMeter(self.domain, rng)
 
+    @classmethod
+    def of(cls, bank: RaplBank, unit_id: int, node_id: int) -> Socket:
+        """A socket viewing unit ``unit_id`` of a cluster's bank."""
+        sock = cls.__new__(cls)
+        sock.unit_id = unit_id
+        sock.node_id = node_id
+        sock.domain = bank.domain(unit_id, f"package-{node_id}-{unit_id}")
+        sock.meter = PowerMeter.of(sock.domain)
+        return sock
+
     def __repr__(self) -> str:
         return (
             f"Socket(unit_id={self.unit_id}, node_id={self.node_id}, "
@@ -72,11 +82,29 @@ class Node:
             raise ValueError("a node needs at least one socket")
         self.node_id = node_id
         self.sockets = tuple(sockets)
+        self._runs = bank_runs([s.domain for s in self.sockets])
 
     @property
     def unit_ids(self) -> tuple[int, ...]:
         """Global unit indices of this node's sockets."""
         return tuple(s.unit_id for s in self.sockets)
+
+    def read_powers_w(self, dt_s: float) -> np.ndarray:
+        """Power readings of this node's sockets (W), in socket order."""
+        powers = np.empty(len(self.sockets))
+        for bank, pos, units in self._runs:
+            powers[pos] = bank.read(units, dt_s)
+        return powers
+
+    def set_caps_w(self, caps_w: np.ndarray) -> None:
+        """Program one cap per socket (W), in socket order."""
+        caps = np.asarray(caps_w, dtype=np.float64)
+        if caps.shape != (len(self.sockets),):
+            raise ValueError(
+                f"caps shape {caps.shape} != ({len(self.sockets)},)"
+            )
+        for bank, pos, units in self._runs:
+            bank.set_caps(units, caps[pos])
 
     def __repr__(self) -> str:
         return f"Node(node_id={self.node_id}, sockets={len(self.sockets)})"

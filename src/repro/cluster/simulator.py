@@ -45,7 +45,7 @@ from repro.core.config import (
 from repro.core.dps import DPSManager
 from repro.core.managers import PowerManager
 from repro.powercap.actuator import CapActuator
-from repro.powercap.faults import FaultConfig, FaultyMeter
+from repro.powercap.faults import FaultConfig
 from repro.safety import ControlCycle, SafetyConfig
 from repro.telemetry.log import ResilienceEventLog, TelemetryLog
 from repro.workloads.runtime import WorkloadExecution
@@ -163,8 +163,9 @@ class Simulation:
             ``use_comm`` (the TCP deploy layer owns its own failure
             semantics).
         fault_config: per-reading measurement-fault probabilities; every
-            socket's meter is wrapped in a
-            :class:`~repro.powercap.faults.FaultyMeter` when given.
+            socket's readings are corrupted through
+            :meth:`~repro.cluster.cluster.Cluster.set_meter_faults` when
+            given.
         verify_actuation: read every programmed cap back and retry on
             mismatch (:class:`~repro.powercap.actuator.CapActuator`
             verify mode); verification events flow into the telemetry
@@ -295,9 +296,9 @@ class Simulation:
         if self.fault_config is not None:
             # Spawned after the baseline streams so fault-free runs keep
             # their exact seed lineage.
-            fault_rngs = rng.spawn(cluster.n_units)
-            for sock, frng in zip(cluster.sockets, fault_rngs):
-                sock.meter = FaultyMeter(sock.meter, self.fault_config, frng)
+            cluster.set_meter_faults(
+                self.fault_config, rng.spawn(cluster.n_units)
+            )
 
         executions = [
             WorkloadExecution(
@@ -388,7 +389,8 @@ class Simulation:
         now = 0.0
         steps = 0
         truncated = False
-        down_nodes: set[int] = set()
+        # Units of the nodes that are down right now.
+        down = np.zeros(cluster.n_units, dtype=bool)
         pending_failures = sorted(self.failures, key=lambda f: f.fail_at_s)
         fail_fired = [False] * len(pending_failures)
         recover_fired = [False] * len(pending_failures)
@@ -404,9 +406,9 @@ class Simulation:
             for idx, nf in enumerate(pending_failures):
                 if not fail_fired[idx] and nf.fail_at_s <= now:
                     fail_fired[idx] = True
-                    down_nodes.add(nf.node_id)
-                    for sock in cluster.nodes[nf.node_id].sockets:
-                        sock.domain.power_off()
+                    node_units = list(cluster.nodes[nf.node_id].unit_ids)
+                    down[node_units] = True
+                    cluster.bank.power_off(node_units)
                     events.emit(
                         now, "node_failed", detail=f"node={nf.node_id}"
                     )
@@ -421,7 +423,7 @@ class Simulation:
                     and nf.recover_at_s <= now
                 ):
                     recover_fired[idx] = True
-                    down_nodes.discard(nf.node_id)
+                    down[list(cluster.nodes[nf.node_id].unit_ids)] = False
                     events.emit(
                         now, "node_recovered", detail=f"node={nf.node_id}"
                     )
@@ -429,25 +431,11 @@ class Simulation:
                         telemetry.events.emit(
                             now, "node_recovered", node_id=nf.node_id
                         )
-            down_units = (
-                np.asarray(
-                    [
-                        uid
-                        for nid in down_nodes
-                        for uid in cluster.nodes[nid].unit_ids
-                    ],
-                    dtype=np.intp,
-                )
-                if down_nodes
-                else None
-            )
-
             # 1. Demands from every workload; unassigned units idle.
             demand.fill(self.cluster_spec.idle_power_w)
             for e in executions:
                 demand[e.unit_ids] = e.demand()
-            if down_units is not None:
-                demand[down_units] = 0.0  # A dead machine draws nothing.
+            demand[down] = 0.0  # A dead machine draws nothing.
 
             # 2. Physics under the caps currently in effect.
             caps_in_effect = cluster.caps_w()
@@ -458,8 +446,7 @@ class Simulation:
 
             # 3. Progress under those caps; a dead node's workload stalls.
             rates = progress_rate(caps_in_effect, demand, self.perf_config)
-            if down_units is not None:
-                rates[down_units] = 0.0
+            rates[down] = 0.0
             for e in executions:
                 e.advance(
                     rates[e.unit_ids], true_power[e.unit_ids], dt, now
@@ -475,9 +462,8 @@ class Simulation:
 
             # 4. Measure, decide, actuate — optionally across the wire.
             readings = cluster.read_powers_w(dt)
-            if down_units is not None:
-                # A dead host's telemetry is a dropout, not a number.
-                readings[down_units] = 0.0
+            # A dead host's telemetry is a dropout, not a number.
+            readings[down] = 0.0
             if network is not None:
                 # Each node agent sends its sockets as one batch.
                 readings = np.concatenate(

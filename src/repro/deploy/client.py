@@ -2,9 +2,10 @@
 
 ``DeployClient`` connects to the server, registers its node's sockets,
 and services POLL → READINGS → CAPS cycles until QUIT.  Power comes
-from its node's meters and caps land on its node's RAPL domains — on
-real hardware those would be sysfs powercap reads/writes; here they are
-the simulated domains, through the identical code path.
+from its node's meters and caps land on its node's RAPL domains, each
+as one batch over the node's units — on real hardware those would be
+sysfs powercap reads/writes; here they are the simulated domains,
+through the identical code path.
 """
 
 from __future__ import annotations
@@ -92,10 +93,7 @@ class DeployClient:
                     raise ValueError(f"unexpected frame tag {tag!r}")
                 if self.poll_delay_s > 0:
                     time.sleep(self.poll_delay_s)
-                powers = [
-                    unit.meter.read_power_w(self.dt_s)
-                    for unit in self.node.sockets
-                ]
+                powers = self.node.read_powers_w(self.dt_s)
                 framing.send_batch(
                     sock,
                     framing.FRAME_READINGS,
@@ -136,9 +134,9 @@ class DeployClient:
             )
         if (np.bincount(units, minlength=n) != 1).any():
             raise ValueError("caps batch repeats or omits a unit")
-        sockets = self.node.sockets
-        for unit, value in zip(units.tolist(), values.tolist()):
-            sockets[unit].domain.set_cap_w(value)
+        caps = np.empty(n)
+        caps[units] = values
+        self.node.set_caps_w(caps)
 
     # ------------------------------------------------------------------
     # Threaded convenience API (used by the loopback harness and tests).

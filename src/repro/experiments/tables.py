@@ -201,8 +201,7 @@ def overhead_analysis(
         cycle_compute_s.append(time.perf_counter() - started)
         cycle_network_s.append(network.charge_cycle(spec.n_units))
         wire = quantize_w(np.clip(caps, 0.0, MAX_VALUE_W))
-        for dom, cap in zip(cluster.domains, wire.tolist()):
-            dom.set_cap_w(cap)
+        cluster.set_caps_w(wire)
 
     bytes_per_cycle = network.stats.bytes // cycles
     network_s = float(np.mean(cycle_network_s))

@@ -1,4 +1,4 @@
-"""Cap actuation across a bank of RAPL domains.
+"""Cap actuation across RAPL domains, one vector write per bank.
 
 The paper's clients receive cap commands from the server and program them
 into RAPL; commands computed from the readings of interval *t* take effect
@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from repro.powercap.rapl import RaplDomain
+from repro.powercap.rapl import RaplDomain, bank_runs
 from repro.recovery.state import decode_array, encode_array
 
 __all__ = ["CapActuator"]
@@ -34,6 +34,8 @@ class CapActuator:
 
     Args:
         domains: the domains actuated, one per unit, in unit order.
+            Consecutive units of one bank (a cluster's domains) are
+            written as one array operation.
         delay_steps: number of control intervals between a command being
             issued and it taking effect (0 = immediate, 1 = next interval,
             matching a networked client).
@@ -61,6 +63,7 @@ class CapActuator:
         if backoff_s < 0:
             raise ValueError(f"backoff_s must be >= 0, got {backoff_s}")
         self._domains = list(domains)
+        self._runs = bank_runs(self._domains)
         self.delay_steps = delay_steps
         self.verify = verify
         self.max_retries = max_retries
@@ -116,28 +119,33 @@ class CapActuator:
             return 0
         return self._apply(self._pipeline.pop(0))
 
-    def _apply(self, due: np.ndarray) -> int:
-        changed = 0
-        for unit, (dom, cap) in enumerate(zip(self._domains, due)):
-            # Quantize to whole microwatts, as a sysfs write would.
-            quantized = round(float(cap) * 1e6) / 1e6
-            before = dom.cap_w
-            self._write(dom, unit, quantized)
-            if dom.cap_w != before:
-                changed += 1
-            self.commands_applied += 1
-        return changed
+    def _caps(self) -> np.ndarray:
+        """Read back every actuated unit's programmed limit."""
+        caps = np.empty(self.n_units)
+        for bank, pos, units in self._runs:
+            caps[pos] = bank.cap_w[units]
+        return caps
 
-    def _write(self, dom: RaplDomain, unit: int, cap_w: float) -> None:
-        """Program one limit, with read-back verification when enabled."""
-        dom.set_cap_w(cap_w)
-        if not self.verify:
-            return
-        # What a correct write must read back: the sysfs clamp of the
-        # requested limit to the domain's accepted range.
-        expected = min(max(cap_w, dom.min_power_w), dom.max_power_w)
-        if dom.cap_w == expected:
-            return
+    def _apply(self, due: np.ndarray) -> int:
+        before = self._caps()
+        # Quantize to whole microwatts, as a sysfs write would (half to
+        # even, exactly like the builtin round()).
+        quantized = np.round(due * 1e6) / 1e6
+        expected = np.empty(self.n_units)
+        for bank, pos, units in self._runs:
+            expected[pos] = bank.set_caps(units, quantized[pos])
+        self.commands_applied += self.n_units
+        if self.verify:
+            # What a correct write reads back is the sysfs clamp of the
+            # request; only the units that read back something else
+            # take the per-unit retry path.
+            for unit in np.flatnonzero(self._caps() != expected).tolist():
+                self._retry(unit, float(quantized[unit]), float(expected[unit]))
+        return int(np.count_nonzero(self._caps() != before))
+
+    def _retry(self, unit: int, cap_w: float, expected: float) -> None:
+        """Re-program one unverified limit with bounded backoff."""
+        dom = self._domains[unit]
         delay = self.backoff_s
         for attempt in range(1, self.max_retries + 1):
             if delay > 0:

@@ -3,27 +3,29 @@
 The paper "assume[s] pessimistically that RAPL bares certain measurement
 noise" (§4.3) and builds the Kalman filter against it.  Real telemetry
 fails in more ways than Gaussian noise: counters stall (stuck readings),
-samplers drop (zero readings), and transients spike.  :class:`FaultyMeter`
-wraps any power meter with those three fault modes so the test suite can
-verify the managers degrade gracefully — budgets still respected, no
-crashes, recovery after the fault clears.
+samplers drop (zero readings), and transients spike.  :class:`MeterFaults`
+corrupts a whole bank's readings with those three fault modes (and
+:class:`FaultyMeter` one meter's) so the test suite can verify the
+managers degrade gracefully — budgets still respected, no crashes,
+recovery after the fault clears.
 
 The write path fails too: a powercap sysfs write can be silently dropped
 (EAGAIN under MSR contention, firmware-clamped limits, stale cached
-values).  :class:`FlakyDomain` wraps a :class:`RaplDomain` so a
-``set_cap_w`` sometimes does not take, which is exactly the fault the
-actuator's read-back verification exists to catch.
+values).  :class:`FlakyDomain` makes one unit's writes sometimes not
+take, which is exactly the fault the actuator's read-back verification
+exists to catch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro.powercap.rapl import PowerMeter, RaplDomain
+from repro.powercap.rapl import PowerMeter, RaplBank, RaplDomain
 
-__all__ = ["FaultConfig", "FaultyMeter", "FlakyDomain"]
+__all__ = ["FaultConfig", "FaultyMeter", "FlakyDomain", "MeterFaults"]
 
 
 @dataclass(frozen=True)
@@ -58,12 +60,67 @@ class FaultConfig:
             raise ValueError(f"spike_gain must be > 0, got {self.spike_gain}")
 
 
+class MeterFaults:
+    """Stuck/dropout/spike faults over a bank of meters.
+
+    Installed as a :class:`~repro.powercap.rapl.RaplBank`'s
+    ``meter_faults``, it corrupts every healthy reading the bank's meters
+    return.  Each unit keeps its own fault stream, draws one roll per
+    reading, and remembers its last output for the stuck fault.
+
+    Args:
+        config: fault probabilities.
+        rngs: fault randomness, one generator per unit of the bank.
+    """
+
+    def __init__(
+        self, config: FaultConfig, rngs: Sequence[np.random.Generator]
+    ) -> None:
+        self.config = config
+        self._rngs = np.empty(len(rngs), dtype=object)
+        self._rngs[:] = list(rngs)
+        self._last_w = np.zeros(len(rngs))
+        self._has_last = np.zeros(len(rngs), dtype=bool)
+        #: Faulted readings so far, per unit.
+        self.injected = np.zeros(len(rngs), dtype=np.int64)
+
+    def apply(self, idx, healthy_w: np.ndarray) -> np.ndarray:
+        """Corrupt the healthy readings of the selected units.
+
+        A stuck fault needs a previous value to repeat; on a unit's very
+        first reading it passes the healthy value through instead of
+        returning the meaningless 0.0 initial state (which would be a
+        dropout, not a stall).
+        """
+        cfg = self.config
+        roll = np.fromiter(
+            (rng.random() for rng in self._rngs[idx]),
+            dtype=np.float64,
+            count=healthy_w.size,
+        )
+        stuck = roll < cfg.stuck_prob
+        roll -= cfg.stuck_prob
+        dropout = ~stuck & (roll < cfg.dropout_prob)
+        roll -= cfg.dropout_prob
+        spike = ~stuck & ~dropout & (roll < cfg.spike_prob)
+        repeat = stuck & self._has_last[idx]
+        out = np.where(repeat, self._last_w[idx], healthy_w)
+        out[dropout] = 0.0
+        out[spike] = healthy_w[spike] * cfg.spike_gain
+        self.injected[idx] += repeat | dropout | spike
+        self._last_w[idx] = out
+        self._has_last[idx] = True
+        return out
+
+
 class FaultyMeter:
     """A power meter wrapper injecting stuck/dropout/spike faults.
 
     Exposes the same ``read_power_w`` interface as
     :class:`~repro.powercap.rapl.PowerMeter`, so it drops into any code
-    that meters sockets.
+    that meters one socket; a whole cluster's meters take a
+    :class:`MeterFaults` instead
+    (:meth:`~repro.cluster.cluster.Cluster.set_meter_faults`).
 
     Args:
         meter: the healthy meter being wrapped.
@@ -78,47 +135,28 @@ class FaultyMeter:
         rng: np.random.Generator,
     ) -> None:
         self.meter = meter
-        self.config = config
-        self._rng = rng
-        self._last_w = 0.0
-        self._has_last = False
-        self.faults_injected = 0
+        self._faults = MeterFaults(config, [rng])
+
+    @property
+    def config(self) -> FaultConfig:
+        return self._faults.config
+
+    @config.setter
+    def config(self, config: FaultConfig) -> None:
+        self._faults.config = config
+
+    @property
+    def faults_injected(self) -> int:
+        return int(self._faults.injected[0])
 
     def read_power_w(self, dt_s: float) -> float:
         """Read the underlying meter, possibly corrupted.
 
         The healthy meter is *always* advanced (its energy-counter cursor
         must track real time), then the returned value may be replaced.
-        A stuck fault needs a previous value to repeat; on the very first
-        reading it passes the healthy value through instead of returning
-        the meaningless 0.0 initial state (which would be a dropout, not
-        a stall).
         """
-        healthy = self.meter.read_power_w(dt_s)
-        roll = self._rng.random()
-        cfg = self.config
-        if roll < cfg.stuck_prob:
-            if self._has_last:
-                self.faults_injected += 1
-                return self._last_w
-            self._last_w = healthy
-            self._has_last = True
-            return healthy
-        roll -= cfg.stuck_prob
-        if roll < cfg.dropout_prob:
-            self.faults_injected += 1
-            self._last_w = 0.0
-            self._has_last = True
-            return 0.0
-        roll -= cfg.dropout_prob
-        if roll < cfg.spike_prob:
-            self.faults_injected += 1
-            self._last_w = healthy * cfg.spike_gain
-            self._has_last = True
-            return self._last_w
-        self._last_w = healthy
-        self._has_last = True
-        return healthy
+        healthy = np.array([self.meter.read_power_w(dt_s)])
+        return float(self._faults.apply(slice(None), healthy)[0])
 
     def rebaseline(self) -> None:
         """Re-anchor the wrapped meter's energy cursor (see PowerMeter)."""
@@ -128,11 +166,13 @@ class FaultyMeter:
 class FlakyDomain:
     """A RAPL domain wrapper whose cap writes sometimes do not take.
 
-    Drops each ``set_cap_w`` with probability ``drop_prob`` (the limit
-    silently keeps its previous value, as a failed sysfs write leaves it),
-    optionally only for the first ``max_drops`` writes so tests can model
-    transient contention that a bounded retry rides out.  Reads and
-    physics pass straight through to the wrapped domain.
+    Drops each write to the wrapped domain's unit with probability
+    ``drop_prob`` (the limit silently keeps its previous value, as a
+    failed sysfs write leaves it), optionally only for the first
+    ``max_drops`` writes so tests can model transient contention that a
+    bounded retry rides out.  The fault is installed on the unit's bank,
+    so vector writes through the bank drop exactly like ``set_cap_w``.
+    Reads and physics pass straight through to the wrapped domain.
 
     Args:
         domain: the healthy domain being wrapped.
@@ -158,6 +198,25 @@ class FlakyDomain:
         self.max_drops = max_drops
         #: Writes silently dropped so far.
         self.writes_dropped = 0
+        domain.bank.write_faults[domain.index] = self._drops
+
+    def _drops(self) -> bool:
+        """Decide whether the current write is the one that fails."""
+        budget_left = (
+            self.max_drops is None or self.writes_dropped < self.max_drops
+        )
+        if budget_left and self._rng.random() < self.drop_prob:
+            self.writes_dropped += 1
+            return True
+        return False
+
+    @property
+    def bank(self) -> RaplBank:
+        return self.domain.bank
+
+    @property
+    def index(self) -> int:
+        return self.domain.index
 
     @property
     def name(self) -> str:
@@ -180,14 +239,13 @@ class FlakyDomain:
         return self.domain.power_w
 
     def set_cap_w(self, cap_w: float) -> float:
-        """Program a limit — unless this write is the one that fails."""
-        budget_left = (
-            self.max_drops is None or self.writes_dropped < self.max_drops
-        )
-        if budget_left and self._rng.random() < self.drop_prob:
-            self.writes_dropped += 1
-            return self.domain.cap_w
-        return self.domain.set_cap_w(cap_w)
+        """Program a limit — unless this write is the one that fails.
+
+        Returns:
+            The limit in effect after the write.
+        """
+        self.domain.set_cap_w(cap_w)
+        return self.domain.cap_w
 
     def read_energy_uj(self) -> int:
         return self.domain.read_energy_uj()

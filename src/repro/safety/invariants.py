@@ -280,8 +280,10 @@ class SnapshotIdempotence(Invariant):
 class ShardLeaseConservation(Invariant):
     """The arbiter's worst-case committed power — live shards at their
     leases plus dark shards at their last confirmed commitments — never
-    exceeds the global budget (checked from the arbiter's introspection
-    surface; a plain manager stack has none and passes vacuously)."""
+    exceeds the global budget, and no shard's lease exceeds its ceiling
+    (``n_units * max_cap_w``) — a lease above it would be frozen there
+    when the shard goes dark.  Checked from the arbiter's introspection
+    surface; a plain manager stack has none and passes vacuously."""
 
     name = "shard-lease-conservation"
 
@@ -290,6 +292,13 @@ class ShardLeaseConservation(Invariant):
             worst = getattr(node, "shard_worst_case_w", None)
             if worst is None:
                 continue
+            leases = np.asarray(node.leases_w)
+            over = np.flatnonzero(leases > np.asarray(node.ceiling_w))
+            if over.size:
+                return (
+                    f"shard leases {leases[over].tolist()} W exceed their "
+                    f"ceilings at shard positions {over.tolist()}"
+                )
             budget = float(getattr(node, "budget_w", ctx.budget_w))
             tol = budget * _REL_TOL + 1e-6
             if float(worst) > budget + tol:

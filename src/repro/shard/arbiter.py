@@ -216,6 +216,11 @@ class BudgetArbiter:
                     f"initial_leases_w shape {initial.shape} != "
                     f"({len(shards)},)"
                 )
+            if np.any(initial > self.ceiling_w):
+                raise ValueError(
+                    f"initial leases {initial.tolist()} exceed the shard "
+                    f"ceilings {self.ceiling_w.tolist()}"
+                )
 
         res = resilience or ResilienceConfig()
         self._resilience = res

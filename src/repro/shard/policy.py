@@ -207,9 +207,12 @@ def _water_fill(
                 eligible, units**2 / np.maximum(new, 1e-9), 0.0
             )
             share = leftover * weights / float(weights.sum())
-            room = ceiling - new
-            add = np.minimum(share, room)
-            new = new + add
+            # Masked, not just clamped: only eligible shards move, so a
+            # frozen shard keeps its lease bit for bit.
+            add = np.where(eligible, np.minimum(share, ceiling - new), 0.0)
+            # ``new + (ceiling - new)`` can round one ulp past the
+            # ceiling; a lease granted here must never exceed it.
+            new = np.where(eligible, np.minimum(new + add, ceiling), new)
             leftover -= float(add.sum())
         if leftover <= cfg.budget_epsilon:
             break

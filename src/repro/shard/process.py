@@ -437,12 +437,12 @@ class ShardHost:
         if (step + 1) % self.config.period_cycles == 0:
             self.shard.summarize(cycle=step)
         self._step = step
-        # Full-cluster snapshots are the dominant per-cycle cost at
-        # thousands of units; persist on the checkpoint cadence (the
-        # controller's own granularity — resume is never fresher than
-        # its checkpoint anyway) plus unconditionally on drain.  The
-        # shard-id offset staggers the fleet so snapshots don't convoy
-        # on the same cycle of every shard at once.
+        # The hardware snapshot (the RAPL bank's arrays) persists on the
+        # checkpoint cadence (the controller's own granularity — resume
+        # is never fresher than its checkpoint anyway) plus
+        # unconditionally on drain.  The shard-id offset staggers the
+        # fleet so snapshots don't convoy on the same cycle of every
+        # shard at once.
         if (step + 1 + self.shard_id) % self._persist_every == 0:
             self._persist_async()
         ack = {

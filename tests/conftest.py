@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.config import (
     ClusterSpec,
@@ -18,6 +19,11 @@ from repro.core.config import (
     SimulationConfig,
 )
 from repro.experiments.harness import ExperimentConfig
+
+#: A long property soak, loaded only on request
+#: (``--hypothesis-profile=deep``); suites that pin their own example
+#: budget take the larger of the two (see ``tests/shard/test_policy.py``).
+settings.register_profile("deep", max_examples=5000, deadline=None)
 
 
 @pytest.fixture

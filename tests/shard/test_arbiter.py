@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.recovery.checkpoint import CheckpointStore
+from repro.safety.invariants import InvariantContext, ShardLeaseConservation
 from repro.shard.arbiter import ArbiterShard, BudgetArbiter
 from repro.shard.lease import ShardLink, ShardSummary
 
@@ -68,6 +69,13 @@ class TestConstruction:
     def test_rejects_bad_initial_lease_shape(self):
         with pytest.raises(ValueError, match="initial_leases_w"):
             make_arbiter(initial_leases_w=np.asarray([100.0]))
+
+    def test_rejects_initial_lease_above_ceiling(self):
+        # 2 units x 165 W: a 330 W ceiling per shard.
+        with pytest.raises(ValueError, match="ceiling"):
+            make_arbiter(
+                initial_leases_w=np.asarray([np.nextafter(330.0, 331.0), 100.0])
+            )
 
     def test_initial_leases_proportional_and_registered(self):
         arbiter, _ = make_arbiter()
@@ -172,6 +180,20 @@ class TestCycle:
             # The dark shard's held power plus every live lease fits.
             assert float(arbiter.leases_w.sum()) <= BUDGET * (1 + 1e-9)
         assert not arbiter.monitor.violations
+
+    def test_lease_above_ceiling_is_a_violation(self):
+        arbiter, links = make_arbiter()
+        report(links[0], 0)
+        report(links[1], 1)
+        arbiter.cycle_once(now=0.0)
+        assert np.all(arbiter.leases_w <= arbiter.ceiling_w)
+        check = ShardLeaseConservation().check
+        ctx = InvariantContext(
+            budget_w=BUDGET, min_cap_w=0.0, max_cap_w=330.0, manager=arbiter
+        )
+        assert check(ctx) is None
+        arbiter._records[1].lease_w = np.nextafter(330.0, 331.0)
+        assert "ceilings at shard positions [1]" in check(ctx)
 
     def test_timeline_sampled_every_cycle(self):
         arbiter, links = make_arbiter()

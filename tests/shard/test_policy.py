@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.shard.lease import ArbiterConfig
 from repro.shard.policy import redistribute
+
+
+def budget(n: int) -> int:
+    """At least ``n`` examples; more under a larger loaded profile."""
+    return max(n, settings.default.max_examples)
 
 
 def run(
@@ -237,7 +242,7 @@ def policy_inputs(draw):
     )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=budget(200), deadline=None)
 @given(inputs=policy_inputs())
 def test_leases_never_exceed_budget(inputs):
     result = redistribute(**inputs)
@@ -245,7 +250,7 @@ def test_leases_never_exceed_budget(inputs):
     assert float(result.leases_w.sum()) <= budget * (1 + 1e-7) + 1e-6
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=budget(200), deadline=None)
 @given(inputs=policy_inputs())
 def test_live_leases_never_drop_below_protected(inputs):
     result = redistribute(**inputs)
@@ -260,8 +265,25 @@ def test_live_leases_never_drop_below_protected(inputs):
     ), (result.leases_w, protected)
 
 
-@settings(max_examples=200, deadline=None)
+#: A frozen shard holding a lease one ulp above its ceiling: the
+#: water-fill once pulled it down to the ceiling.
+_ABOVE_CEILING = 526.975465447208
+
+
+@settings(max_examples=budget(200), deadline=None)
 @given(inputs=policy_inputs())
+@example(
+    inputs=dict(
+        lease_w=np.array([400.0, np.nextafter(_ABOVE_CEILING, np.inf)]),
+        committed_w=np.array([300.0, np.nan]),
+        floor_w=np.zeros(2),
+        ceiling_w=np.array([1000.0, _ABOVE_CEILING]),
+        n_units=np.ones(2),
+        priority=np.array([True, False]),
+        frozen=np.array([False, True]),
+        budget_w=1500.0,
+    )
+)
 def test_frozen_shards_untouched(inputs):
     result = redistribute(**inputs)
     dark = inputs["frozen"]
@@ -271,7 +293,18 @@ def test_frozen_shards_untouched(inputs):
     assert np.all(result.granted_w[dark] == 0.0)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=budget(200), deadline=None)
+@given(inputs=policy_inputs())
+def test_no_lease_raised_past_its_ceiling(inputs):
+    # ``lease + (ceiling - lease)`` can round one ulp past the ceiling;
+    # the fill must clamp, or the arbiter later freezes a dark shard
+    # above its ceiling.
+    result = redistribute(**inputs)
+    bound = np.maximum(inputs["ceiling_w"], inputs["lease_w"])
+    assert np.all(result.leases_w <= bound), (result.leases_w, bound)
+
+
+@settings(max_examples=budget(100), deadline=None)
 @given(inputs=policy_inputs())
 def test_deterministic(inputs):
     first = redistribute(**inputs)

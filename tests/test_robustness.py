@@ -16,7 +16,7 @@ from repro.cluster.simulator import Assignment, Simulation
 from repro.core.config import ClusterSpec, SimulationConfig
 from repro.core.managers import create_manager
 from repro.experiments.harness import ExperimentConfig, ExperimentHarness
-from repro.powercap.faults import FaultConfig, FaultyMeter
+from repro.powercap.faults import FaultConfig
 from repro.workloads.synthetic import random_workload
 
 SPEC = ClusterSpec(n_nodes=4, sockets_per_node=2)
@@ -123,17 +123,15 @@ class TestResilientRecovery:
         demand = np.where(
             np.arange(cluster.n_units) < cluster.n_units // 2, 150.0, 60.0
         )
-        healthy_meters = [s.meter for s in cluster.sockets]
         if inject_faults:
-            fault_rngs = np.random.default_rng(99).spawn(cluster.n_units)
-            for sock, frng in zip(cluster.sockets, fault_rngs):
-                sock.meter = FaultyMeter(sock.meter, self.FAULTS, frng)
+            cluster.set_meter_faults(
+                self.FAULTS, np.random.default_rng(99).spawn(cluster.n_units)
+            )
 
         power_trace = np.empty((self.TOTAL_CYCLES, cluster.n_units))
         for cycle in range(self.TOTAL_CYCLES):
             if inject_faults and cycle == self.FAULT_CYCLES:
-                for sock, meter in zip(cluster.sockets, healthy_meters):
-                    sock.meter = meter  # The fault episode ends.
+                cluster.set_meter_faults(None)  # The fault episode ends.
             true_power = cluster.step_physics(demand, 1.0)
             readings = cluster.read_powers_w(1.0)
             caps = manager.step(readings)
